@@ -1,10 +1,11 @@
 """Streaming vs. batch audit: time-to-first-verdict and throughput.
 
-Fits one BPROM detector, builds a fleet of suspicious models, then screens the
-same catalogue twice: through the synchronous ``AuditService.audit`` batch
-path (no verdict until the whole batch finishes) and through
-``AsyncAuditService.stream`` (verdicts yielded as models finish, bounded
-in-flight backpressure).  Correctness is asserted on every run — streaming
+Fits one BPROM detector through a ``DetectorRegistry`` on a temporary store,
+builds a fleet of suspicious models, then screens the same catalogue twice:
+through the synchronous ``AuditService.audit`` batch path on the tenant's
+detector (no verdict until the whole batch finishes) and through a one-tenant
+``AuditGateway.stream`` (verdicts yielded as models finish, bounded in-flight
+budget).  Correctness is asserted on every run — streaming
 verdicts must be bit-identical to the batch report — so the benchmark doubles
 as an equivalence check.  Results are written as machine-readable JSON so the
 perf trajectory can be tracked across commits.
@@ -19,13 +20,54 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import tempfile
 import time
 
 from repro.config import RuntimeConfig, get_profile
-from repro.core.detector import BpromDetector
 from repro.datasets.registry import load_dataset
 from repro.models.registry import build_classifier
-from repro.runtime import AsyncAuditService, AuditService
+from repro.runtime import AuditGateway, AuditService, DetectorRegistry
+from repro.runtime.registry import DetectorSpec
+
+
+def build_catalogue(args, profile, train):
+    print(f"building a catalogue of {args.models} vendor models ...")
+    catalogue = {}
+    for index in range(args.models):
+        model = build_classifier(
+            args.arch,
+            train.num_classes,
+            image_size=profile.image_size,
+            rng=1000 + index,
+            name=f"vendor-{index}",
+        )
+        model.fit(train, profile.classifier, rng=2000 + index)
+        catalogue[model.name] = model
+    return catalogue
+
+
+def batch_leg(detector, runtime, catalogue):
+    print("batch path (AuditService.audit):")
+    start = time.perf_counter()
+    report = AuditService(detector, runtime=runtime).audit(catalogue)
+    total_s = time.perf_counter() - start
+    # the batch path yields nothing until the whole report is assembled
+    print(f"  total {total_s:8.2f}s   first verdict {total_s:8.2f}s")
+    return report, total_s
+
+
+def stream_leg(gateway, catalogue):
+    print("streaming path (AuditGateway.stream):")
+    streamed = []
+    first_verdict_s = None
+    start = time.perf_counter()
+    for verdict in gateway.stream(catalogue.items()):
+        if first_verdict_s is None:
+            first_verdict_s = time.perf_counter() - start
+        streamed.append(verdict)
+    total_s = time.perf_counter() - start
+    print(f"  total {total_s:8.2f}s   first verdict {first_verdict_s:8.2f}s")
+    return streamed, total_s, first_verdict_s
 
 
 def main() -> None:
@@ -45,9 +87,6 @@ def main() -> None:
     args = parser.parse_args()
 
     profile = get_profile(args.profile)
-    runtime = RuntimeConfig(
-        workers=args.workers, backend=args.backend, max_in_flight=args.max_in_flight
-    )
     train, test = load_dataset("cifar10", profile, seed=args.seed)
     target_train, target_test = load_dataset("stl10", profile, seed=args.seed)
 
@@ -56,44 +95,22 @@ def main() -> None:
         f"workers={args.workers} backend={args.backend} cores={os.cpu_count() or 1}"
     )
 
-    print("fitting the detector once ...")
-    detector = BpromDetector(
-        profile=profile, architecture=args.arch, seed=args.seed, runtime=runtime
-    )
-    detector.fit(test, target_train, target_test)
-
-    print(f"building a catalogue of {args.models} vendor models ...")
-    catalogue = {}
-    for index in range(args.models):
-        model = build_classifier(
-            args.arch,
-            train.num_classes,
-            image_size=profile.image_size,
-            rng=1000 + index,
-            name=f"vendor-{index}",
+    with tempfile.TemporaryDirectory(prefix="bench-streaming-") as store_dir:
+        runtime = RuntimeConfig(
+            workers=args.workers,
+            backend=args.backend,
+            gateway_backend=args.backend,
+            cache_dir=store_dir,
         )
-        model.fit(train, profile.classifier, rng=2000 + index)
-        catalogue[model.name] = model
-
-    print("batch path (AuditService.audit):")
-    batch_service = AuditService(detector, runtime=runtime)
-    start = time.perf_counter()
-    batch_report = batch_service.audit(catalogue)
-    batch_total_s = time.perf_counter() - start
-    # the batch path yields nothing until the whole report is assembled
-    print(f"  total {batch_total_s:8.2f}s   first verdict {batch_total_s:8.2f}s")
-
-    print("streaming path (AsyncAuditService.stream):")
-    stream_service = AsyncAuditService(detector, runtime=runtime)
-    streamed = []
-    first_verdict_s = None
-    start = time.perf_counter()
-    for verdict in stream_service.stream(catalogue):
-        if first_verdict_s is None:
-            first_verdict_s = time.perf_counter() - start
-        streamed.append(verdict)
-    stream_total_s = time.perf_counter() - start
-    print(f"  total {stream_total_s:8.2f}s   first verdict {first_verdict_s:8.2f}s")
+        registry = DetectorRegistry(runtime=runtime)
+        with AuditGateway(registry=registry, max_in_flight=args.max_in_flight) as gateway:
+            print("fitting the detector once ...")
+            spec = DetectorSpec(profile=profile, architecture=args.arch, seed=args.seed)
+            tenant = gateway.register_tenant("bench", spec, test, target_train, target_test)
+            catalogue = build_catalogue(args, profile, train)
+            batch_report, batch_total_s = batch_leg(tenant.entry.detector, runtime, catalogue)
+            streamed, stream_total_s, first_verdict_s = stream_leg(gateway, catalogue)
+            max_in_flight = gateway.max_in_flight
 
     expected = {v.name: v for v in batch_report}
     assert len(streamed) == len(batch_report)
@@ -111,7 +128,7 @@ def main() -> None:
         "workers": args.workers,
         "backend": args.backend,
         "models": args.models,
-        "max_in_flight": stream_service.max_in_flight,
+        "max_in_flight": max_in_flight,
         "batch_total_seconds": batch_total_s,
         "batch_first_verdict_seconds": batch_total_s,
         "stream_total_seconds": stream_total_s,

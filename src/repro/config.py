@@ -293,10 +293,6 @@ class RuntimeConfig:
     #: supersedes ``cache_dir`` when non-empty (writes go to each key's home
     #: shard, reads fall through across every shard)
     shard_dirs: Optional[Tuple[str, ...]] = None
-    #: cap on concurrently in-flight jobs in
-    #: :class:`~repro.runtime.service_async.AsyncAuditService`; ``None``
-    #: derives 2x ``workers`` at service construction
-    max_in_flight: Optional[int] = None
     #: how shadow pools are trained: "stacked" runs K same-architecture
     #: shadows as one model-axis computation (:mod:`repro.nn.stacked`),
     #: "sequential" trains them one by one, and "auto" defers to the
@@ -317,7 +313,8 @@ class RuntimeConfig:
     registry_lock_stale: float = 3600.0
     #: cap on concurrently in-flight submissions across *all* tenants of an
     #: :class:`~repro.runtime.gateway.AuditGateway`; ``None`` derives
-    #: 2x ``workers`` at gateway construction
+    #: 2x the gateway worker pool's size (``gateway_workers``, else
+    #: ``workers``) at gateway construction
     gateway_max_in_flight: Optional[int] = None
     #: executor backend of the gateway's shared tenant
     #: :class:`~repro.runtime.workers.WorkerPool`: "thread" (default; shares
@@ -383,8 +380,6 @@ class RuntimeConfig:
                 else self.shard_dirs
             )
             object.__setattr__(self, "shard_dirs", tuple(str(d) for d in dirs))
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         if self.registry_lru_bytes is not None and self.registry_lru_bytes < 0:
             raise ValueError(
                 f"registry_lru_bytes must be >= 0, got {self.registry_lru_bytes}"
@@ -444,7 +439,7 @@ class RuntimeConfig:
         """Build a runtime config from the ``REPRO_*`` environment variables
         (benchmark/CI convenience): ``REPRO_WORKERS``, ``REPRO_BACKEND``,
         ``REPRO_CACHE_DIR``, ``REPRO_CACHE``, ``REPRO_SHARD_DIRS``,
-        ``REPRO_MAX_IN_FLIGHT``, ``REPRO_SHADOW_TRAINING``,
+        ``REPRO_SHADOW_TRAINING``,
         ``REPRO_REGISTRY_LRU_BYTES``, ``REPRO_REGISTRY_LOCK_WAIT``,
         ``REPRO_REGISTRY_LOCK_STALE``, ``REPRO_GATEWAY_MAX_IN_FLIGHT``,
         ``REPRO_GATEWAY_BACKEND``, ``REPRO_GATEWAY_WORKERS``,
@@ -468,7 +463,6 @@ class RuntimeConfig:
             cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
             cache=os.environ.get("REPRO_CACHE", "1") != "0",
             shard_dirs=shard_dirs or None,
-            max_in_flight=_env_int("REPRO_MAX_IN_FLIGHT", None),
             shadow_training=os.environ.get("REPRO_SHADOW_TRAINING", "auto"),
             registry_lru_bytes=_env_int("REPRO_REGISTRY_LRU_BYTES", None),
             registry_lock_wait=_env_float("REPRO_REGISTRY_LOCK_WAIT", 600.0),

@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.config import ExperimentProfile, FAST, resolve_precision
+from repro.core.detector import DetectionResult
 from repro.core.shadow import ShadowModel, ShadowModelFactory
 from repro.datasets.base import ImageDataset
 from repro.defenses.base import ModelLevelDefense
@@ -21,6 +22,7 @@ from repro.ml.forest import RandomForestClassifier
 from repro.ml.stats import median_absolute_deviation
 from repro.models.classifier import ImageClassifier
 from repro.nn.stacked import UnstackableModelError, predict_proba_many
+from repro.prompting.blackbox import QueryFunction
 from repro.utils.rng import SeedLike, derive_seed, new_rng
 
 
@@ -179,6 +181,27 @@ class MNTDDefense(ModelLevelDefense):
         feature = classifier.predict_proba(self._query_images).ravel()[None, :]
         probabilities = self._meta.predict_proba(feature)
         return float(probabilities[0, 1] if probabilities.shape[1] > 1 else probabilities[0, 0])
+
+    def inspect(
+        self,
+        classifier: ImageClassifier,
+        query_function: Optional[QueryFunction] = None,
+        seed_key: Optional[str] = None,
+    ) -> DetectionResult:
+        """Score one suspicious model as a :class:`DetectionResult`.
+
+        The same ``inspect`` protocol as :meth:`BpromDetector.inspect`, so one
+        audit task serves both defenses.  MNTD has no black-box query seam
+        and no prompting seed: ``query_function`` and ``seed_key`` are
+        ignored, no prompting queries are counted and there is no prompted
+        accuracy.  :meth:`score_model` never reads its clean data.
+        """
+        score = self.score_model(classifier, None)
+        return DetectionResult(
+            backdoor_score=score,
+            is_backdoored=score >= self.threshold,
+            prompted_accuracy=float("nan"),
+        )
 
     # -- persistence ----------------------------------------------------------
     def save(self, path: Union[str, Path]) -> Path:

@@ -13,19 +13,19 @@ The runtime layer turns the BPROM pipeline into a production-shaped system:
 * :class:`~repro.runtime.sharding.ShardedArtifactStore` — one cache federated
   across several store roots: deterministic home-shard placement, read-through
   lookups across every shard, ``rebalance()``/``gc()`` maintenance.
-* :class:`~repro.runtime.service.AuditService` — the serve-many API: load a
-  saved detector once, screen whole model catalogues concurrently.
-* :class:`~repro.runtime.service_async.AsyncAuditService` — the streaming
-  front-end: ``submit``/``as_completed``/``stream`` with bounded in-flight
-  backpressure; verdicts are bit-identical to the batch path.
+* :class:`~repro.runtime.service.AuditService` — the batch serve-many API:
+  load a saved detector once, screen whole model catalogues concurrently;
+  the reference the gateway's streamed verdicts are compared against.
 * :class:`~repro.runtime.registry.DetectorRegistry` — a store-backed
   catalogue of fitted detectors (BPROM and MNTD) with cross-process
   single-flight fitting (advisory lock files, stale takeover) and a
   byte-budgeted in-memory LRU.
-* :class:`~repro.runtime.gateway.AuditGateway` — the multi-tenant front
-  door: routes a mixed model stream to per-tenant detectors, fans out under
-  one shared in-flight budget, merges the verdict streams and reports the
-  whole serving picture in one ``stats()`` snapshot.
+* :class:`~repro.runtime.gateway.AuditGateway` — the one streaming audit
+  engine: routes a mixed model stream to per-tenant detectors, dispatches
+  each cold inspection as one pool task under one shared in-flight budget
+  (``submit``/``as_completed``/``stream``), merges the verdicts in
+  completion order and reports the whole serving picture in one ``stats()``
+  snapshot; verdicts are bit-identical to the batch path.
 * :class:`~repro.runtime.verdict_cache.VerdictCache` — fingerprint-keyed
   memoisation of audit verdicts: a weighted-LRU memory tier over store
   persistence, TTL/refit invalidation and in-flight dedup (futures
@@ -56,7 +56,6 @@ __all__ = [
     "AdvisoryLock",
     "Artifact",
     "ArtifactStore",
-    "AsyncAuditService",
     "AuditGateway",
     "AuditJob",
     "AuditService",
@@ -89,8 +88,7 @@ __all__ = [
 _LAZY = {
     "AuditService": "repro.runtime.service",
     "AuditVerdict": "repro.runtime.service",
-    "AsyncAuditService": "repro.runtime.service_async",
-    "AuditJob": "repro.runtime.service_async",
+    "AuditJob": "repro.runtime.gateway",
     "DetectorRegistry": "repro.runtime.registry",
     "DetectorSpec": "repro.runtime.registry",
     "RegistryEntry": "repro.runtime.registry",

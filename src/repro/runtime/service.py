@@ -6,8 +6,8 @@ vendor catalogues for concurrent black-box screening.  Per-model prompting
 seeds are derived from the *catalogue key* (not the model name, which vendors
 may reuse), so a batch audit returns exactly the same verdicts as inspecting
 each model alone under its key — and duplicate-named entries never share a
-seed.  For a streaming front-end over the same verdicts see
-:class:`~repro.runtime.service_async.AsyncAuditService`.
+seed.  For streaming verdicts over the same detectors see
+:class:`~repro.runtime.gateway.AuditGateway`.
 """
 
 from __future__ import annotations
@@ -24,16 +24,6 @@ from repro.prompting.blackbox import QueryFunction
 from repro.runtime.executor import ParallelExecutor
 from repro.runtime.store import key_hash
 from repro.runtime.verdict_cache import VerdictCache, detector_digest
-
-
-def resolve_executor(
-    detector: BpromDetector, runtime: Optional[RuntimeConfig]
-) -> ParallelExecutor:
-    """The executor an audit service should run on: the runtime's if one is
-    given, otherwise the detector's own (shared by both service front-ends)."""
-    if runtime is not None:
-        return ParallelExecutor.from_config(runtime)
-    return detector.executor
 
 
 @dataclass
@@ -81,7 +71,10 @@ class AuditService:
         verdict_cache: Optional[VerdictCache] = None,
     ) -> None:
         self.detector = detector
-        self.executor = resolve_executor(detector, runtime)
+        #: the runtime's executor if one is given, else the detector's own
+        self.executor = (
+            ParallelExecutor.from_config(runtime) if runtime is not None else detector.executor
+        )
         if verdict_cache is None and runtime is not None and runtime.verdict_cache:
             verdict_cache = VerdictCache(runtime=runtime)
         self.verdict_cache = verdict_cache

@@ -1,17 +1,13 @@
 """Tenant worker pools: the gateway's shared dispatch layer, process-capable.
 
-The per-tenant services (:class:`~repro.runtime.service_async.AsyncAuditService`
-and the gateway's MNTD sibling) used to each own a thread pool, so gateway
-throughput was capped by the GIL plus whatever BLAS releases.  This module
-provides the layer that turns "scales within one process" into "scales with
-the machine":
+This module is what turns "scales within one process" into "scales with the
+machine":
 
 * :class:`WorkerPool` — one persistent executor shared by every tenant of an
   :class:`~repro.runtime.gateway.AuditGateway`, with a ``"thread"`` (default),
-  ``"process"`` (true multi-core) or ``"serial"`` (inline) backend.  Tenant
-  services submit through its shared
-  :class:`~repro.runtime.executor.ExecutorSession` instead of opening pools of
-  their own.
+  ``"process"`` (true multi-core) or ``"serial"`` (inline) backend.  The
+  gateway submits every audit through its shared
+  :class:`~repro.runtime.executor.ExecutorSession`.
 * :class:`DetectorRef` — a pickle-cheap address of one fitted detector: the
   :func:`~repro.runtime.registry.registry_key` payload plus the spec and a
   runtime describing the shared store.  Process backends ship the *ref*, not
@@ -21,9 +17,11 @@ the machine":
   **warm-loading, never refitting** — and caches it in the worker process, so
   every later task on that worker serves from memory.
 
-Every task function here is module-level: process backends pickle tasks by
-qualified name, so closures, lambdas and bound methods would fail at submit
-time (repro-lint L201 guards this invariant across ``repro/runtime``).
+One audit is one pool task, nested as ``_traced_task`` (telemetry on) →
+``_cached_audit_task`` (verdict cache on) → ``_audit_task``.  Every task
+function here is module-level: process backends pickle tasks by qualified
+name, so closures, lambdas and bound methods would fail at submit time
+(repro-lint L201 guards this invariant across ``repro/runtime``).
 
 Determinism: a hydrated detector round-trips with bit-identical scores
 (the PR 1 save/load contract), the per-task seed still derives from the
@@ -40,8 +38,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.config import RuntimeConfig
-from repro.datasets.base import ImageDataset
-from repro.defenses.model_level import MNTDDefense
 from repro.models.classifier import ImageClassifier
 from repro.obs.clock import now
 from repro.obs.metrics import MetricsRegistry, counter_property
@@ -51,6 +47,7 @@ from repro.runtime.executor import ExecutorSession
 from repro.runtime.registry import DETECTOR_KIND, DetectorSpec, load_detector_artifact
 from repro.runtime.service import AuditVerdict
 from repro.runtime.store import MISS, ArtifactStore
+from repro.runtime.verdict_cache import VerdictCache
 
 
 @dataclass(frozen=True)
@@ -112,12 +109,18 @@ def resolve_detector(ref: DetectorRef) -> Any:
 # ---------------------------------------------------------------------------
 
 def _audit_task(
-    detector: Any,
+    target: Any,
     key: str,
     model: ImageClassifier,
     query_function: Optional[QueryFunction],
 ) -> AuditVerdict:
-    """One BPROM inspection; the per-task seed derives from the catalogue key."""
+    """One inspection of ``model`` by a tenant's detector (BPROM or MNTD).
+
+    ``target`` is the fitted detector itself, or its :class:`DetectorRef` on
+    the process backend, hydrated here through :func:`resolve_detector`.  The
+    per-task seed derives from the catalogue key.
+    """
+    detector = resolve_detector(target) if isinstance(target, DetectorRef) else target
     result = detector.inspect(model, query_function=query_function, seed_key=key)
     return AuditVerdict(
         name=key,
@@ -129,34 +132,17 @@ def _audit_task(
     )
 
 
-def _ref_audit_task(
-    ref: DetectorRef,
-    key: str,
-    model: ImageClassifier,
-    query_function: Optional[QueryFunction],
+def _cached_audit_task(
+    cache: VerdictCache, cache_key: Dict[str, Any], name: str, task: Callable[..., Any], *args: Any
 ) -> AuditVerdict:
-    """BPROM inspection against a :class:`DetectorRef` (process backend)."""
-    return _audit_task(resolve_detector(ref), key, model, query_function)
+    """Run one audit task through the cache's store tier, in the worker.
 
-
-def _mntd_audit_task(
-    defense: MNTDDefense, clean_data: ImageDataset, key: str, model: ImageClassifier
-) -> AuditVerdict:
-    """One MNTD scoring pass: a query batch plus the meta-forest vote."""
-    score = float(defense.score_model(model, clean_data))
-    return AuditVerdict(
-        name=key,
-        backdoor_score=score,
-        is_backdoored=score >= defense.threshold,
-        prompted_accuracy=float("nan"),
-    )
-
-
-def _ref_mntd_audit_task(
-    ref: DetectorRef, clean_data: ImageDataset, key: str, model: ImageClassifier
-) -> AuditVerdict:
-    """MNTD scoring against a :class:`DetectorRef` (process backend)."""
-    return _mntd_audit_task(resolve_detector(ref), clean_data, key, model)
+    The cache drops its in-memory/in-flight state when pickled, so process
+    backends can ship it; the advisory-lock single flight inside
+    :meth:`VerdictCache.compute_through_store` is what keeps two racing
+    *processes* down to one inspection.
+    """
+    return cache.compute_through_store(cache_key, name, lambda: task(*args))
 
 
 def _traced_task(ctx: TraceContext, fn: Callable[..., Any], *args: Any) -> Any:
@@ -199,11 +185,11 @@ class WorkerPool:
     """One persistent executor shared by every tenant of a gateway.
 
     The pool is created lazily on first :meth:`session` call and stays alive
-    until :meth:`close`; tenant services share its session, so the machine's
-    parallelism is one dial (``workers``) rather than per-tenant pools
-    multiplying.  ``backend="process"`` requires that submitted tasks be
-    module-level callables with picklable arguments — tenant services submit
-    :class:`DetectorRef`-based tasks for exactly this reason.
+    until :meth:`close`; every tenant's audits share its session, so the
+    machine's parallelism is one dial (``workers``) rather than per-tenant
+    pools multiplying.  ``backend="process"`` requires that submitted tasks
+    be module-level callables with picklable arguments — the gateway ships a
+    :class:`DetectorRef` instead of the detector for exactly this reason.
 
     Thread-safe: concurrent first submits race on one lock, so exactly one
     pool is ever created.

@@ -20,7 +20,6 @@ ALL_ENV_KNOBS = (
     "REPRO_CACHE_DIR",
     "REPRO_CACHE",
     "REPRO_SHARD_DIRS",
-    "REPRO_MAX_IN_FLIGHT",
     "REPRO_SHADOW_TRAINING",
     "REPRO_REGISTRY_LRU_BYTES",
     "REPRO_REGISTRY_LOCK_WAIT",
@@ -55,7 +54,6 @@ def test_every_knob_round_trips(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_CACHE", "1")
     monkeypatch.setenv("REPRO_SHARD_DIRS", os.pathsep.join([shard_a, shard_b]))
-    monkeypatch.setenv("REPRO_MAX_IN_FLIGHT", "6")
     monkeypatch.setenv("REPRO_SHADOW_TRAINING", "STACKED")  # case-folded
     monkeypatch.setenv("REPRO_REGISTRY_LRU_BYTES", "1048576")
     monkeypatch.setenv("REPRO_REGISTRY_LOCK_WAIT", "12.5")
@@ -77,7 +75,6 @@ def test_every_knob_round_trips(monkeypatch, tmp_path):
         cache_dir=str(tmp_path / "cache"),
         cache=True,
         shard_dirs=(shard_a, shard_b),
-        max_in_flight=6,
         shadow_training="stacked",
         registry_lru_bytes=1 << 20,
         registry_lock_wait=12.5,
@@ -111,7 +108,6 @@ def test_empty_values_fall_back_to_defaults(monkeypatch):
     assert runtime.workers == 1
     assert runtime.cache_dir is None
     assert runtime.shard_dirs is None
-    assert runtime.max_in_flight is None
     assert runtime.registry_lru_bytes is None
     assert runtime.registry_lock_wait == 600.0
     assert runtime.registry_lock_stale == 3600.0
@@ -157,8 +153,7 @@ def test_single_shard_dir(monkeypatch, tmp_path):
     "name",
     [
         "REPRO_WORKERS",
-        "REPRO_MAX_IN_FLIGHT",
-        "REPRO_REGISTRY_LRU_BYTES",
+            "REPRO_REGISTRY_LRU_BYTES",
         "REPRO_GATEWAY_MAX_IN_FLIGHT",
         "REPRO_GATEWAY_WORKERS",
         "REPRO_DETECTOR_GC_BYTES",

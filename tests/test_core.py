@@ -164,3 +164,17 @@ def test_meta_feature_projection(trained_mlp, tiny_dataset, tiny_test_dataset, m
     assert result["projection"].shape == (2, 2)
     with pytest.raises(ValueError):
         meta_feature_projection([prompted], [0, 1], tiny_test_dataset.images[:4])
+
+
+def test_inspect_without_key_still_seeds_on_name(
+    micro_profile, tiny_dataset, tiny_test_dataset, shadow_pool, trained_mlp
+):
+    """Back-compat: the single-model path seeds on the model name when no
+    catalogue key is threaded through."""
+    detector = BpromDetector(profile=micro_profile, architecture="mlp", seed=0)
+    detector.fit(tiny_dataset, tiny_dataset, tiny_test_dataset, shadow_models=shadow_pool)
+    by_default = detector.prompt_suspicious(trained_mlp)
+    by_name = detector.prompt_suspicious(trained_mlp, seed_key=trained_mlp.name)
+    np.testing.assert_array_equal(by_default.prompt.theta, by_name.prompt.theta)
+    with pytest.raises(ValueError):
+        detector.inspect_many([trained_mlp, trained_mlp], keys=["just-one"])

@@ -11,13 +11,22 @@ from __future__ import annotations
 
 import copy
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.config import RuntimeConfig
+from repro.core.detector import BpromDetector, DetectionResult
 from repro.models.registry import build_classifier
-from repro.runtime import AuditGateway, AuditService, DetectorRegistry, TenantProvisioner
+from repro.runtime import (
+    AuditGateway,
+    AuditService,
+    DetectorRegistry,
+    TenantProvisioner,
+    VerdictCache,
+)
 from repro.runtime.registry import DetectorSpec
 
 
@@ -70,6 +79,23 @@ def warm_gateway(tenant_specs, micro_profile, tiny_dataset, tiny_test_dataset, t
     gateway.register_tenant("baseline-mntd", tenant_specs["baseline-mntd"], tiny_dataset)
     yield gateway
     gateway.close()
+
+
+@pytest.fixture(scope="module")
+def mlp_store(tenant_specs, tiny_dataset, tiny_test_dataset, tmp_path_factory):
+    """A runtime whose store already holds the fitted ``tabular-mlp`` detector."""
+    runtime = RuntimeConfig(cache_dir=str(tmp_path_factory.mktemp("mlp-store")))
+    DetectorRegistry(runtime=runtime).get_or_fit(
+        tenant_specs["tabular-mlp"], tiny_dataset, tiny_test_dataset, tiny_test_dataset
+    )
+    return runtime
+
+
+def _one_tenant_gateway(runtime, tenant_specs, reserved, target, **kwargs) -> AuditGateway:
+    """A gateway serving only ``tabular-mlp``, warm-loaded from ``runtime``'s store."""
+    gateway = AuditGateway(runtime=runtime, **kwargs)
+    gateway.register_tenant("tabular-mlp", tenant_specs["tabular-mlp"], reserved, target, target)
+    return gateway
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +191,9 @@ def test_mntd_tenant_verdicts_match_direct_scoring(warm_gateway, vendor_models, 
     expected = defense.score_model(model, tiny_dataset)
     assert verdict.backdoor_score == expected
     assert verdict.is_backdoored == (expected >= defense.threshold)
+    # MNTD does no black-box prompting: no queries, no prompted accuracy
+    assert verdict.query_count == 0 and verdict.query_calls == 0
+    assert np.isnan(verdict.prompted_accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +235,81 @@ def test_stats_snapshot_reports_tenants_registry_and_store(warm_gateway, vendor_
     assert stats["max_in_flight"] == 3
 
 
-def test_shared_budget_caps_concurrent_work(tenant_specs, tiny_dataset, tiny_test_dataset, tmp_path):
-    runtime = RuntimeConfig(cache_dir=str(tmp_path))
-    with AuditGateway(runtime=runtime, max_in_flight=1) as gateway:
-        assert gateway.max_in_flight == 1
+def test_shared_budget_caps_concurrent_work(
+    mlp_store, tenant_specs, tiny_dataset, tiny_test_dataset, monkeypatch
+):
+    """With ``max_in_flight=2`` on a 4-worker thread pool, no more than two
+    inspections ever run at once: streamed with the verdict cache off or on,
+    or submitted one by one and drained through ``as_completed``."""
+    lock = threading.Lock()
+    tally = {"active": 0, "peak": 0, "calls": 0}
+
+    def slow_inspect(detector, model, query_function=None, target_eval=None, seed_key=None):
+        with lock:
+            tally["active"] += 1
+            tally["calls"] += 1
+            tally["peak"] = max(tally["peak"], tally["active"])
+        time.sleep(0.02)
+        with lock:
+            tally["active"] -= 1
+        return DetectionResult(backdoor_score=0.0, is_backdoored=False, prompted_accuracy=1.0)
+
+    monkeypatch.setattr(BpromDetector, "inspect", slow_inspect)
+    submissions = [
+        (
+            f"budget-{index}",
+            build_classifier(
+                "mlp", tiny_dataset.num_classes, image_size=tiny_dataset.image_size,
+                rng=900 + index, name=f"budget-{index}",
+            ),
+        )
+        for index in range(8)  # distinct weights: every submission is a cache miss
+    ]
+    runtime = mlp_store.with_overrides(workers=4, gateway_backend="thread")
+    for leg, cached in (("stream", False), ("stream", True), ("submit", False)):
+        tally.update(active=0, peak=0, calls=0)
+        with _one_tenant_gateway(
+            runtime.with_overrides(verdict_cache=cached),
+            tenant_specs, tiny_dataset, tiny_test_dataset, max_in_flight=2,
+        ) as gateway:
+            assert gateway.max_in_flight == 2
+            if leg == "stream":
+                verdicts = list(gateway.stream(submissions))
+            else:
+                for key, model in submissions:
+                    gateway.submit(key, model)
+                verdicts = list(gateway.as_completed())
+        assert sorted(v.name for v in verdicts) == sorted(k for k, _ in submissions)
+        assert tally["calls"] == len(submissions), (leg, cached)
+        assert tally["peak"] <= 2, f"{leg} (cache={cached}) ran {tally['peak']} at once"
     with pytest.raises(ValueError):
         AuditGateway(runtime=runtime, max_in_flight=0)
+
+
+def test_default_budget_follows_the_gateway_pool():
+    """The default budget is twice the gateway pool's workers, which
+    ``gateway_workers`` sets independently of ``workers``."""
+    with AuditGateway(runtime=RuntimeConfig(workers=1, gateway_workers=4)) as gateway:
+        assert gateway.worker_pool.workers == 4
+        assert gateway.max_in_flight == 8
+
+
+def test_disabled_gateway_cache_serves_every_submission_cold(
+    mlp_store, tenant_specs, vendor_models, tiny_dataset, tiny_test_dataset
+):
+    """A disabled gateway cache leaves no other cache behind it: with
+    ``runtime.verdict_cache`` on, one model streamed under two keys is still
+    inspected twice, and the tenant is charged for both inspections."""
+    runtime = mlp_store.with_overrides(verdict_cache=True)
+    model = vendor_models["vendor-mlp-0"]
+    with _one_tenant_gateway(
+        runtime, tenant_specs, tiny_dataset, tiny_test_dataset,
+        verdict_cache=VerdictCache(runtime=runtime, enabled=False),
+    ) as gateway:
+        verdicts = list(gateway.stream([("a", model), ("b", model)]))
+        assert [v.cache for v in verdicts] == ["cold", "cold"]
+        charged = gateway.stats()["tenants"]["tabular-mlp"]["query_count"]
+    assert charged == sum(v.query_count for v in verdicts) > 0
 
 
 def test_duplicate_tenant_registration_is_rejected(tenant_specs, tiny_dataset, tmp_path):
@@ -262,7 +360,7 @@ def test_stream_delivers_harvested_verdicts_before_routing_errors(warm_gateway, 
 
 def test_failed_job_is_reaped_and_other_verdicts_stay_harvestable(warm_gateway, vendor_models):
     """A failing audit (e.g. a vendor endpoint raising) must re-raise to the
-    consumer without leaking its job handle in the tenant service; jobs that
+    consumer without leaking its job handle in the gateway; jobs that
     completed meanwhile remain harvestable via as_completed()."""
     model = vendor_models["vendor-mlp-0"]
 
@@ -275,8 +373,8 @@ def test_failed_job_is_reaped_and_other_verdicts_stay_harvestable(warm_gateway, 
     with pytest.raises(RuntimeError, match="endpoint down"):
         for verdict in warm_gateway.as_completed():
             harvested.append(verdict.name)
-    # the failed job was reaped from its tenant's retained queue ...
-    assert warm_gateway.tenants["tabular-mlp"].service._jobs == {}
+    # the failed job was dropped from the gateway's job table ...
+    assert all(job.key != "boom" for _, job, _ in warm_gateway._pending.values())
     # ... and whatever was not yielded before the error is still recoverable
     remaining = [verdict.name for verdict in warm_gateway.as_completed()]
     assert sorted(harvested + remaining) == ["fine"]
@@ -311,6 +409,88 @@ def test_mntd_tenant_warns_on_ignored_query_function(warm_gateway, vendor_models
             )
         )
     assert verdicts[0].tenant == "baseline-mntd"
+
+
+def test_stream_verdicts_bit_identical_to_batch_audit(
+    mlp_store, tenant_specs, vendor_models, tiny_dataset, tiny_test_dataset
+):
+    """A parallel one-tenant stream equals the batch ``AuditService.audit``
+    of the same catalogue exactly; only arrival order may differ."""
+    catalogue = {k: m for k, m in vendor_models.items() if k.startswith("vendor-mlp")}
+    runtime = mlp_store.with_overrides(workers=2)
+    with _one_tenant_gateway(
+        runtime, tenant_specs, tiny_dataset, tiny_test_dataset, max_in_flight=2
+    ) as gateway:
+        streamed = {v.name: v for v in gateway.stream(catalogue.items())}
+        batch = AuditService(gateway.tenants["tabular-mlp"].entry.detector).audit(catalogue)
+    assert set(streamed) == set(catalogue)
+    for expected in batch:
+        got = streamed[expected.name]
+        assert got.backdoor_score == expected.backdoor_score
+        assert got.is_backdoored == expected.is_backdoored
+        assert got.prompted_accuracy == expected.prompted_accuracy
+
+
+def test_serial_backend_streams_in_submission_order(
+    mlp_store, tenant_specs, vendor_models, tiny_dataset, tiny_test_dataset
+):
+    mlp_models = [m for k, m in sorted(vendor_models.items()) if k.startswith("vendor-mlp")]
+    submissions = [(f"ordered-{index}", mlp_models[index % 2]) for index in range(4)]
+    runtime = mlp_store.with_overrides(gateway_backend="serial")
+    with _one_tenant_gateway(runtime, tenant_specs, tiny_dataset, tiny_test_dataset) as gateway:
+        names = [verdict.name for verdict in gateway.stream(submissions)]
+    assert names == [key for key, _ in submissions]
+
+
+def test_empty_stream_and_as_completed_yield_nothing(
+    mlp_store, tenant_specs, tiny_dataset, tiny_test_dataset
+):
+    runtime = mlp_store.with_overrides(workers=2)
+    with _one_tenant_gateway(runtime, tenant_specs, tiny_dataset, tiny_test_dataset) as gateway:
+        assert list(gateway.stream([])) == []
+        assert list(gateway.as_completed()) == []
+        assert AuditService(gateway.tenants["tabular-mlp"].entry.detector).audit({}) == []
+
+
+def test_duplicate_named_models_get_independent_seeds(
+    mlp_store, tenant_specs, micro_profile, tiny_dataset, tiny_test_dataset
+):
+    """Two catalogue entries sharing a ``.name`` must not share prompting seeds."""
+    duplicates = []
+    for rng in (700, 710):
+        model = build_classifier(
+            "mlp",
+            tiny_dataset.num_classes,
+            image_size=tiny_dataset.image_size,
+            rng=rng,
+            name="vendor-model",  # identical names, distinct weights
+        )
+        model.fit(tiny_dataset, micro_profile.classifier, rng=rng + 1)
+        duplicates.append(model)
+    catalogue = {"entry-a": duplicates[0], "entry-b": duplicates[1]}
+    runtime = mlp_store.with_overrides(workers=2)
+    with _one_tenant_gateway(runtime, tenant_specs, tiny_dataset, tiny_test_dataset) as gateway:
+        detector = gateway.tenants["tabular-mlp"].entry.detector
+        # the same physical model audited under two catalogue keys gets two
+        # different prompting seeds (name-based seeding would collapse them)
+        prompt_a = detector.prompt_suspicious(duplicates[0], seed_key="entry-a")
+        prompt_b = detector.prompt_suspicious(duplicates[0], seed_key="entry-b")
+        assert not np.array_equal(prompt_a.prompt.theta, prompt_b.prompt.theta)
+        # ... and the derivation stays deterministic per key
+        prompt_a_again = detector.prompt_suspicious(duplicates[0], seed_key="entry-a")
+        np.testing.assert_array_equal(prompt_a.prompt.theta, prompt_a_again.prompt.theta)
+
+        # the batch audit and the gateway stream both thread the catalogue key
+        # through to the seed, so each entry's verdict equals a standalone
+        # inspect under its key
+        expected = {
+            key: detector.inspect(model, seed_key=key).backdoor_score
+            for key, model in catalogue.items()
+        }
+        batch = AuditService(detector).audit(catalogue)
+        assert {verdict.name: verdict.backdoor_score for verdict in batch} == expected
+        streamed = gateway.stream(catalogue.items())
+        assert {verdict.name: verdict.backdoor_score for verdict in streamed} == expected
 
 
 # ---------------------------------------------------------------------------

@@ -372,13 +372,8 @@ def test_runtime_config_shard_dirs(tmp_path, monkeypatch):
     monkeypatch.setenv(
         "REPRO_SHARD_DIRS", os.pathsep.join([str(tmp_path / "x"), str(tmp_path / "y")])
     )
-    monkeypatch.setenv("REPRO_MAX_IN_FLIGHT", "7")
     from_env = RuntimeConfig.from_env()
     assert from_env.shard_dirs == (str(tmp_path / "x"), str(tmp_path / "y"))
-    assert from_env.max_in_flight == 7
-
-    with pytest.raises(ValueError):
-        RuntimeConfig(max_in_flight=0)
 
 
 # ---------------------------------------------------------------------------

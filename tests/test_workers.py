@@ -29,7 +29,7 @@ def _seeded_draw(item):
 
 
 # ---------------------------------------------------------------------------
-# ParallelExecutor parity: serial / thread / process
+# executor parity: serial / thread / process
 # ---------------------------------------------------------------------------
 
 def test_executor_map_results_identical_across_backends():
@@ -44,7 +44,8 @@ def test_executor_session_results_identical_across_backends():
     items = [(index, 321) for index in range(6)]
     expected = [_seeded_draw(item) for item in items]
     for backend in BACKENDS:
-        with ParallelExecutor(workers=2, backend=backend).session() as session:
+        with WorkerPool(workers=2, backend=backend) as pool:
+            session = pool.session()
             futures = [session.submit(_seeded_draw, item) for item in items]
             assert [future.result() for future in futures] == expected, backend
 
