@@ -7,10 +7,14 @@ milliseconds, for the end-to-end pipeline tests.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.config import ExperimentProfile, PromptConfig, TrainingConfig
+from repro.core.detector import BpromDetector, DetectionResult
 from repro.datasets.base import ImageDataset
 from repro.datasets.synthetic import SyntheticImageDistribution, SyntheticStyle
 from repro.models.registry import build_classifier
@@ -82,3 +86,40 @@ def trained_mlp(tiny_dataset):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def inspect_concurrency(monkeypatch) -> dict:
+    """Replace ``BpromDetector.inspect`` with a 20 ms stub that tallies calls
+    and the peak number running at once; returns the live tally."""
+    lock = threading.Lock()
+    tally = {"active": 0, "peak": 0, "calls": 0}
+
+    def slow_inspect(detector, model, query_function=None, target_eval=None, seed_key=None):
+        with lock:
+            tally["active"] += 1
+            tally["calls"] += 1
+            tally["peak"] = max(tally["peak"], tally["active"])
+        time.sleep(0.02)
+        with lock:
+            tally["active"] -= 1
+        return DetectionResult(backdoor_score=0.0, is_backdoored=False, prompted_accuracy=1.0)
+
+    monkeypatch.setattr(BpromDetector, "inspect", slow_inspect)
+    return tally
+
+
+@pytest.fixture(scope="session")
+def budget_submissions(tiny_dataset) -> list:
+    """Eight untrained MLP uploads with distinct weights, so every one is a
+    verdict-cache miss."""
+    return [
+        (
+            f"budget-{index}",
+            build_classifier(
+                "mlp", tiny_dataset.num_classes, image_size=tiny_dataset.image_size,
+                rng=900 + index, name=f"budget-{index}",
+            ),
+        )
+        for index in range(8)
+    ]

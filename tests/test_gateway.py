@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import copy
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.config import RuntimeConfig
-from repro.core.detector import BpromDetector, DetectionResult
 from repro.models.registry import build_classifier
 from repro.runtime import (
     AuditGateway,
@@ -236,52 +234,22 @@ def test_stats_snapshot_reports_tenants_registry_and_store(warm_gateway, vendor_
 
 
 def test_shared_budget_caps_concurrent_work(
-    mlp_store, tenant_specs, tiny_dataset, tiny_test_dataset, monkeypatch
+    mlp_store, tenant_specs, tiny_dataset, tiny_test_dataset, inspect_concurrency,
+    budget_submissions,
 ):
-    """With ``max_in_flight=2`` on a 4-worker thread pool, no more than two
-    inspections ever run at once: streamed with the verdict cache off or on,
-    or submitted one by one and drained through ``as_completed``."""
-    lock = threading.Lock()
-    tally = {"active": 0, "peak": 0, "calls": 0}
-
-    def slow_inspect(detector, model, query_function=None, target_eval=None, seed_key=None):
-        with lock:
-            tally["active"] += 1
-            tally["calls"] += 1
-            tally["peak"] = max(tally["peak"], tally["active"])
-        time.sleep(0.02)
-        with lock:
-            tally["active"] -= 1
-        return DetectionResult(backdoor_score=0.0, is_backdoored=False, prompted_accuracy=1.0)
-
-    monkeypatch.setattr(BpromDetector, "inspect", slow_inspect)
-    submissions = [
-        (
-            f"budget-{index}",
-            build_classifier(
-                "mlp", tiny_dataset.num_classes, image_size=tiny_dataset.image_size,
-                rng=900 + index, name=f"budget-{index}",
-            ),
-        )
-        for index in range(8)  # distinct weights: every submission is a cache miss
-    ]
-    runtime = mlp_store.with_overrides(workers=4, gateway_backend="thread")
-    for leg, cached in (("stream", False), ("stream", True), ("submit", False)):
-        tally.update(active=0, peak=0, calls=0)
-        with _one_tenant_gateway(
-            runtime.with_overrides(verdict_cache=cached),
-            tenant_specs, tiny_dataset, tiny_test_dataset, max_in_flight=2,
-        ) as gateway:
-            assert gateway.max_in_flight == 2
-            if leg == "stream":
-                verdicts = list(gateway.stream(submissions))
-            else:
-                for key, model in submissions:
-                    gateway.submit(key, model)
-                verdicts = list(gateway.as_completed())
-        assert sorted(v.name for v in verdicts) == sorted(k for k, _ in submissions)
-        assert tally["calls"] == len(submissions), (leg, cached)
-        assert tally["peak"] <= 2, f"{leg} (cache={cached}) ran {tally['peak']} at once"
+    """With the verdict cache on, ``max_in_flight=2`` on a 4-worker thread
+    pool still caps the cold inspections of a stream at two at once.  (The
+    cap with the cache off, for ``stream`` and for ``submit`` +
+    ``as_completed``, is tested in ``test_service_async``.)"""
+    runtime = mlp_store.with_overrides(workers=4, gateway_backend="thread", verdict_cache=True)
+    with _one_tenant_gateway(
+        runtime, tenant_specs, tiny_dataset, tiny_test_dataset, max_in_flight=2
+    ) as gateway:
+        assert gateway.max_in_flight == 2
+        verdicts = list(gateway.stream(budget_submissions))
+    assert sorted(v.name for v in verdicts) == sorted(k for k, _ in budget_submissions)
+    assert inspect_concurrency["calls"] == len(budget_submissions)
+    assert inspect_concurrency["peak"] <= 2, f"ran {inspect_concurrency['peak']} at once"
     with pytest.raises(ValueError):
         AuditGateway(runtime=runtime, max_in_flight=0)
 

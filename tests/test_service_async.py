@@ -1,223 +1,59 @@
-"""Tests for the async/streaming audit service: bit-identical verdicts vs. the
-synchronous batch path, submit/as_completed draining, bounded in-flight
-backpressure, and the batch-audit seed-collision regression."""
+"""Backpressure on the gateway's asynchronous audit paths: with the verdict
+cache off, ``stream`` and ``submit`` + ``as_completed`` never run more than
+``max_in_flight`` inspections at once, however many pool workers there are.
+The cache-on case is in ``test_gateway``."""
 
 from __future__ import annotations
 
-import threading
-import time
-
-import numpy as np
 import pytest
 
 from repro.config import RuntimeConfig
-from repro.core.detector import BpromDetector, DetectionResult
-from repro.models.registry import build_classifier
-from repro.runtime import AsyncAuditService, AuditService, ParallelExecutor
+from repro.runtime import AuditGateway, DetectorRegistry
+from repro.runtime.registry import DetectorSpec
 
 
 @pytest.fixture(scope="module")
-def fitted_detector(micro_profile, tiny_dataset, tiny_test_dataset):
-    detector = BpromDetector(profile=micro_profile, architecture="mlp", seed=0)
-    detector.fit(tiny_dataset, tiny_dataset, tiny_test_dataset)
-    return detector
-
-
-@pytest.fixture(scope="module")
-def catalogue(micro_profile, tiny_dataset):
-    models = {}
-    for index in range(4):
-        name = f"vendor-{index}"
-        model = build_classifier(
-            "mlp",
-            tiny_dataset.num_classes,
-            image_size=tiny_dataset.image_size,
-            rng=500 + index,
-            name=name,
-        )
-        model.fit(tiny_dataset, micro_profile.classifier, rng=600 + index)
-        models[name] = model
-    return models
-
-
-# ---------------------------------------------------------------------------
-# bit-identical verdicts (acceptance criterion)
-# ---------------------------------------------------------------------------
-
-def test_stream_verdicts_bit_identical_to_batch_audit(fitted_detector, catalogue):
-    batch = AuditService(fitted_detector).audit(catalogue)
-    service = AsyncAuditService(
-        fitted_detector, runtime=RuntimeConfig(workers=2), max_in_flight=2
+def budget_gateway_args(micro_profile, tiny_dataset, tiny_test_dataset, tmp_path_factory):
+    """A 4-worker thread runtime whose store already holds a fitted MLP
+    detector, and the arguments that register it as the one tenant."""
+    spec = DetectorSpec(defense="bprom", profile=micro_profile, architecture="mlp", seed=0)
+    runtime = RuntimeConfig(
+        cache_dir=str(tmp_path_factory.mktemp("budget-store")),
+        workers=4,
+        gateway_backend="thread",
     )
-    streamed = {verdict.name: verdict for verdict in service.stream(catalogue)}
-    assert set(streamed) == set(catalogue)
-    for expected in batch:
-        got = streamed[expected.name]
-        assert got.backdoor_score == expected.backdoor_score
-        assert got.is_backdoored == expected.is_backdoored
-        assert got.prompted_accuracy == expected.prompted_accuracy
-
-
-def test_audit_streaming_matches_batch_report_order(fitted_detector, catalogue):
-    batch = AuditService(fitted_detector).audit(catalogue)
-    service = AsyncAuditService(fitted_detector, runtime=RuntimeConfig(workers=2))
-    report = service.audit_streaming(catalogue)
-    assert [verdict.name for verdict in report] == [verdict.name for verdict in batch]
-    assert [verdict.backdoor_score for verdict in report] == [
-        verdict.backdoor_score for verdict in batch
-    ]
-
-
-def test_from_saved_stream_round_trip(fitted_detector, catalogue, tmp_path):
-    path = fitted_detector.save(tmp_path / "detector")
-    service = AsyncAuditService.from_saved(path, runtime=RuntimeConfig(workers=2))
-    streamed = {verdict.name: verdict.backdoor_score for verdict in service.stream(catalogue)}
-    expected = {
-        verdict.name: verdict.backdoor_score
-        for verdict in AuditService(fitted_detector).audit(catalogue)
-    }
-    assert streamed == expected
-
-
-# ---------------------------------------------------------------------------
-# submit / as_completed and serial degradation
-# ---------------------------------------------------------------------------
-
-def test_submit_and_as_completed_drain_the_queue(fitted_detector, catalogue):
-    expected = {
-        verdict.name: verdict.backdoor_score
-        for verdict in AuditService(fitted_detector).audit(catalogue)
-    }
-    with AsyncAuditService(fitted_detector, runtime=RuntimeConfig(workers=2)) as service:
-        jobs = [service.submit(key, model) for key, model in catalogue.items()]
-        assert [job.key for job in jobs] == list(catalogue)
-        drained = {job.key: job.result().backdoor_score for job in service.as_completed()}
-    assert drained == expected
-    assert service.in_flight == 0
-
-
-def test_serial_stream_degrades_to_ordered_loop(fitted_detector, catalogue):
-    service = AsyncAuditService(fitted_detector)  # serial-inherited executor
-    names = [verdict.name for verdict in service.stream(catalogue)]
-    assert names == list(catalogue)
-
-
-def test_empty_catalogue_audit_and_stream(fitted_detector):
-    assert AuditService(fitted_detector).audit({}) == []
-    service = AsyncAuditService(fitted_detector, runtime=RuntimeConfig(workers=2))
-    assert list(service.stream({})) == []
-    assert list(service.as_completed()) == []
-
-
-# ---------------------------------------------------------------------------
-# backpressure
-# ---------------------------------------------------------------------------
-
-class _InstrumentedDetector:
-    """Duck-typed detector that records peak inspect concurrency."""
-
-    def __init__(self) -> None:
-        self.executor = ParallelExecutor(1, "serial")
-        self.active = 0
-        self.peak = 0
-        self.lock = threading.Lock()
-
-    def inspect(self, model, query_function=None, target_eval=None, seed_key=None):
-        with self.lock:
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-        time.sleep(0.02)
-        with self.lock:
-            self.active -= 1
-        return DetectionResult(
-            backdoor_score=float(model), is_backdoored=False, prompted_accuracy=1.0
-        )
-
-
-def test_stream_bounds_in_flight_jobs():
-    detector = _InstrumentedDetector()
-    service = AsyncAuditService(
-        detector, runtime=RuntimeConfig(workers=4), max_in_flight=2
+    DetectorRegistry(runtime=runtime).get_or_fit(
+        spec, tiny_dataset, tiny_test_dataset, tiny_test_dataset
     )
-    catalogue = {f"model-{index}": index for index in range(8)}
-    verdicts = list(service.stream(catalogue))
-    assert {verdict.name for verdict in verdicts} == set(catalogue)
-    assert detector.peak <= 2, f"in-flight exceeded the cap: {detector.peak}"
+    return runtime, ("tabular-mlp", spec, tiny_dataset, tiny_test_dataset, tiny_test_dataset)
 
 
-def test_submit_applies_backpressure():
-    detector = _InstrumentedDetector()
-    with AsyncAuditService(
-        detector, runtime=RuntimeConfig(workers=4), max_in_flight=2
-    ) as service:
-        for index in range(8):
-            service.submit(f"model-{index}", index)
-        results = {job.key: job.result().backdoor_score for job in service.as_completed()}
-    assert results == {f"model-{index}": float(index) for index in range(8)}
-    assert detector.peak <= 2
+def _budget_gateway(budget_gateway_args) -> AuditGateway:
+    runtime, tenant = budget_gateway_args
+    gateway = AuditGateway(runtime=runtime, max_in_flight=2)
+    gateway.register_tenant(*tenant)
+    return gateway
 
 
-def test_max_in_flight_comes_from_runtime_config():
-    detector = _InstrumentedDetector()
-    service = AsyncAuditService(
-        detector, runtime=RuntimeConfig(workers=4, max_in_flight=3)
-    )
-    assert service.max_in_flight == 3
-    assert AsyncAuditService(detector, runtime=RuntimeConfig(workers=4)).max_in_flight == 8
-    with pytest.raises(ValueError):
-        AsyncAuditService(detector, max_in_flight=0)
-
-
-# ---------------------------------------------------------------------------
-# batch-audit seed-collision regression
-# ---------------------------------------------------------------------------
-
-def test_duplicate_named_models_get_independent_seeds(
-    fitted_detector, micro_profile, tiny_dataset
+def test_stream_bounds_in_flight_jobs(
+    budget_gateway_args, inspect_concurrency, budget_submissions
 ):
-    """Two catalogue entries sharing a ``.name`` must not share prompting seeds."""
-    duplicates = []
-    for rng in (700, 710):
-        model = build_classifier(
-            "mlp",
-            tiny_dataset.num_classes,
-            image_size=tiny_dataset.image_size,
-            rng=rng,
-            name="vendor-model",  # identical names, distinct weights
-        )
-        model.fit(tiny_dataset, micro_profile.classifier, rng=rng + 1)
-        duplicates.append(model)
-    catalogue = {"entry-a": duplicates[0], "entry-b": duplicates[1]}
-
-    # the same physical model audited under two catalogue keys gets two
-    # different prompting seeds (name-based seeding would collapse them)
-    prompt_a = fitted_detector.prompt_suspicious(duplicates[0], seed_key="entry-a")
-    prompt_b = fitted_detector.prompt_suspicious(duplicates[0], seed_key="entry-b")
-    assert not np.array_equal(prompt_a.prompt.theta, prompt_b.prompt.theta)
-    # ... and the derivation stays deterministic per key
-    prompt_a_again = fitted_detector.prompt_suspicious(duplicates[0], seed_key="entry-a")
-    np.testing.assert_array_equal(prompt_a.prompt.theta, prompt_a_again.prompt.theta)
-
-    # batch audit threads the catalogue key through to the seed, so each
-    # entry's verdict equals a standalone inspect under its key — for the
-    # sync and async services alike
-    expected = {
-        key: fitted_detector.inspect(model, seed_key=key).backdoor_score
-        for key, model in catalogue.items()
-    }
-    batch = AuditService(fitted_detector).audit(catalogue)
-    assert {verdict.name: verdict.backdoor_score for verdict in batch} == expected
-    streamed = AsyncAuditService(
-        fitted_detector, runtime=RuntimeConfig(workers=2)
-    ).stream(catalogue)
-    assert {verdict.name: verdict.backdoor_score for verdict in streamed} == expected
+    with _budget_gateway(budget_gateway_args) as gateway:
+        verdicts = list(gateway.stream(budget_submissions))
+    assert sorted(v.name for v in verdicts) == sorted(k for k, _ in budget_submissions)
+    assert inspect_concurrency["calls"] == len(budget_submissions)
+    assert inspect_concurrency["peak"] <= 2, (
+        f"in-flight exceeded the cap: {inspect_concurrency['peak']}"
+    )
 
 
-def test_inspect_without_key_still_seeds_on_name(fitted_detector, catalogue):
-    """Back-compat: the single-model path is unchanged by the key threading."""
-    model = next(iter(catalogue.values()))
-    by_default = fitted_detector.prompt_suspicious(model)
-    by_name = fitted_detector.prompt_suspicious(model, seed_key=model.name)
-    np.testing.assert_array_equal(by_default.prompt.theta, by_name.prompt.theta)
-    with pytest.raises(ValueError):
-        fitted_detector.inspect_many(list(catalogue.values()), keys=["just-one"])
+def test_submit_applies_backpressure(
+    budget_gateway_args, inspect_concurrency, budget_submissions
+):
+    with _budget_gateway(budget_gateway_args) as gateway:
+        for key, model in budget_submissions:
+            gateway.submit(key, model)
+        results = {v.name: v.backdoor_score for v in gateway.as_completed()}
+    assert results == {key: 0.0 for key, _ in budget_submissions}
+    assert inspect_concurrency["calls"] == len(budget_submissions)
+    assert inspect_concurrency["peak"] <= 2
