@@ -239,8 +239,9 @@ def main() -> None:
             pool_stats = stats["worker_pool"]
             print(
                 f"\nworker pool: {pool_stats['backend']} backend x "
-                f"{pool_stats['workers']} workers, {pool_stats['tasks']} inspection "
-                f"tasks dispatched"
+                f"{pool_stats['workers']} workers on {pool_stats['cores']} cores "
+                f"(BLAS threads per worker: {pool_stats['blas_threads']}), "
+                f"{pool_stats['tasks']} inspection tasks dispatched"
             )
             provisioned = sorted(
                 tenant_id

@@ -6,17 +6,50 @@ seed and a stable task identity (see :func:`repro.utils.rng.derive_seed`), so
 the results are identical whether tasks run sequentially, on a thread pool or
 on a process pool — only wall-clock time changes.  Results are always returned
 in submission order.
+
+:func:`open_pool` is the one place a thread or process pool is built, so the
+BLAS thread budget of :mod:`repro.runtime.blas` applies to every pool.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.config import RuntimeConfig
+from repro.runtime import blas
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+class _BudgetedThreadPool(ThreadPoolExecutor):
+    """A thread pool that holds a BLAS thread scope until it shuts down."""
+
+    def __init__(self, workers: int) -> None:
+        super().__init__(max_workers=workers)
+        self._blas_scope = blas.ThreadScope(blas.budget(workers))
+
+    def shutdown(self, wait: bool = True, **kwargs) -> None:
+        super().shutdown(wait, **kwargs)
+        self._blas_scope.close()
+
+
+def open_pool(backend: str, workers: int) -> Executor:
+    """A ``workers``-wide thread or process pool running under the BLAS budget.
+
+    Threads share the process's BLAS thread count, capped for as long as the
+    pool is open; each process worker lowers its own count on start-up.
+    """
+    if backend == "thread":
+        return _BudgetedThreadPool(workers)
+    if backend == "process":
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=blas.apply_budget,
+            initargs=(blas.budget(workers),),
+        )
+    raise ValueError(f"no pool for executor backend {backend!r}")
 
 
 class ExecutorSession:
@@ -58,12 +91,14 @@ class ExecutorSession:
 class ParallelExecutor:
     """Ordered map over independent tasks with a configurable worker pool.
 
-    ``backend="thread"`` shares memory and relies on numpy releasing the GIL
-    inside BLAS kernels; ``backend="process"`` achieves true parallelism at
-    the cost of pickling tasks and results (every task function must be a
-    module-level callable with picklable arguments).  ``workers=1`` or
-    ``backend="serial"`` degrade to a plain loop, which is also the fallback
-    for single-item workloads.
+    ``backend="thread"`` shares memory and overlaps work only where numpy
+    releases the GIL, in its C loops and BLAS calls; ``backend="process"``
+    achieves true parallelism at the cost of pickling tasks and results
+    (every task function must be a module-level callable with picklable
+    arguments).  Each :meth:`map` builds its pool through :func:`open_pool`,
+    so the pool runs under the BLAS thread budget of
+    :mod:`repro.runtime.blas`.  ``workers=1`` or ``backend="serial"`` degrade
+    to a plain loop, which is also the fallback for single-item workloads.
     """
 
     def __init__(self, workers: int = 1, backend: str = "thread") -> None:
@@ -89,8 +124,7 @@ class ParallelExecutor:
         items = list(items)
         if not self.parallel or len(items) <= 1:
             return [fn(item) for item in items]
-        pool_cls = ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
-        with pool_cls(max_workers=min(self.workers, len(items))) as pool:
+        with open_pool(self.backend, min(self.workers, len(items))) as pool:
             return list(pool.map(fn, items))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

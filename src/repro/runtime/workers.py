@@ -33,7 +33,7 @@ bit-identical to the thread/serial backends.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -43,7 +43,8 @@ from repro.obs.clock import now
 from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.obs.trace import TraceContext, collect, get_tracer, relative_to
 from repro.prompting.blackbox import QueryFunction
-from repro.runtime.executor import ExecutorSession
+from repro.runtime import blas
+from repro.runtime.executor import ExecutorSession, open_pool
 from repro.runtime.registry import DETECTOR_KIND, DetectorSpec, load_detector_artifact
 from repro.runtime.service import AuditVerdict
 from repro.runtime.store import MISS, ArtifactStore
@@ -170,7 +171,9 @@ def _traced_task(ctx: TraceContext, fn: Callable[..., Any], *args: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 class _CountingSession(ExecutorSession):
-    """An :class:`ExecutorSession` that books every submit on its pool."""
+    """An :class:`ExecutorSession` that books every submit on its pool, and
+    marks the pool broken when a submit or a task fails with
+    :class:`~concurrent.futures.BrokenExecutor` (a dead process worker)."""
 
     def __init__(self, pool, owner: "WorkerPool") -> None:
         super().__init__(pool)
@@ -178,7 +181,13 @@ class _CountingSession(ExecutorSession):
 
     def submit(self, fn: Callable[..., Any], *args) -> Future:
         self._owner._count_task()
-        return super().submit(fn, *args)
+        try:
+            future = super().submit(fn, *args)
+        except BrokenExecutor:
+            self._owner._mark_broken()
+            raise
+        future.add_done_callback(self._owner._watch)
+        return future
 
 
 class WorkerPool:
@@ -210,6 +219,7 @@ class WorkerPool:
         self._session: Optional[ExecutorSession] = None
         self._lock = threading.Lock()
         self._closed = False
+        self._broken = False
         self.metrics = MetricsRegistry()
         self.tasks = 0
 
@@ -237,6 +247,25 @@ class WorkerPool:
         with self._lock:
             self.tasks += 1
 
+    def _mark_broken(self) -> None:
+        with self._lock:
+            self._broken = True
+
+    def _watch(self, future: Future) -> None:
+        if not future.cancelled() and isinstance(future.exception(), BrokenExecutor):
+            self._mark_broken()
+
+    def _blas_threads(self) -> Optional[int]:
+        """The BLAS thread count the pool's workers run with (lock held).
+
+        Process workers inherit this process's count and lower it to the
+        budget; an open thread pool and the inline session run at the
+        process's live count.
+        """
+        if self.parallel and (self.backend == "process" or self._pool is None):
+            return blas.capped(blas.budget(self.workers))
+        return blas.threads()
+
     def session(self) -> ExecutorSession:
         """The shared session; created (with its pool) on first call."""
         with self._lock:
@@ -244,10 +273,7 @@ class WorkerPool:
                 raise RuntimeError("worker pool is closed")
             if self._session is None:
                 if self.parallel:
-                    pool_cls = (
-                        ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
-                    )
-                    self._pool = pool_cls(max_workers=self.workers)
+                    self._pool = open_pool(self.backend, self.workers)
                 # a serial/one-worker pool yields an inline (poolless) session,
                 # preserving the old synchronous-submit behaviour exactly
                 self._session = _CountingSession(self._pool, self)
@@ -259,7 +285,10 @@ class WorkerPool:
                 "backend": self.backend,
                 "workers": self.workers,
                 "started": self._session is not None,
+                "broken": self._broken,
                 "tasks": self.tasks,
+                "cores": blas.usable_cores(),
+                "blas_threads": self._blas_threads(),
             }
 
     def close(self) -> None:

@@ -311,7 +311,9 @@ VERDICT_CACHE_KEYS = {
     "inspections", "entries", "memory_bytes", "max_bytes", "ttl_seconds",
     "evictions", "expirations",
 }
-WORKER_POOL_KEYS = {"backend", "workers", "started", "tasks"}
+WORKER_POOL_KEYS = {
+    "backend", "workers", "started", "broken", "tasks", "cores", "blas_threads",
+}
 TELEMETRY_KEYS = {"enabled", "spans_recorded", "metrics"}
 TOP_LEVEL_KEYS = {
     "tenants", "registry", "store", "verdict_cache",

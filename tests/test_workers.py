@@ -8,11 +8,15 @@ store bit-identically, and the only observable difference is wall-clock time.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import BrokenExecutor
+
 import numpy as np
 import pytest
 
 from repro.config import RuntimeConfig
-from repro.runtime import DetectorRegistry, ParallelExecutor
+from repro.runtime import DetectorRegistry, ParallelExecutor, blas
 from repro.runtime.registry import DetectorSpec
 from repro.runtime.workers import _HYDRATED, DetectorRef, WorkerPool, resolve_detector
 from repro.utils.rng import derive_seed
@@ -26,6 +30,11 @@ def _seeded_draw(item):
     index, experiment_seed = item
     rng = np.random.default_rng(derive_seed(experiment_seed, "parity-task", index))
     return float(rng.random())
+
+
+def _die(_):
+    """Kill the worker process running it, as a crashing native call would."""
+    os._exit(1)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +81,10 @@ def test_parallel_pool_shares_one_session_and_counts_tasks():
         futures = [session.submit(_seeded_draw, (index, 9)) for index in range(4)]
         assert [f.result() for f in futures] == [_seeded_draw((i, 9)) for i in range(4)]
         stats = pool.stats()
-        assert stats == {"backend": "thread", "workers": 2, "started": True, "tasks": 4}
+        assert stats == {
+            "backend": "thread", "workers": 2, "started": True, "broken": False, "tasks": 4,
+            "cores": blas.usable_cores(), "blas_threads": blas.threads(),
+        }
 
 
 def test_process_pool_runs_module_level_tasks():
@@ -80,6 +92,25 @@ def test_process_pool_runs_module_level_tasks():
         session = pool.session()
         futures = [session.submit(_seeded_draw, (index, 11)) for index in range(3)]
         assert [f.result() for f in futures] == [_seeded_draw((i, 11)) for i in range(3)]
+
+
+def test_dead_process_worker_marks_pool_broken():
+    with WorkerPool(workers=2, backend="process") as pool:
+        session = pool.session()
+        assert session.submit(_seeded_draw, (0, 1)).result() == _seeded_draw((0, 1))
+        assert not pool.stats()["broken"]
+        future = session.submit(_die, None)
+        # callbacks run in the order added, so ours fires after the pool's own
+        harvested = threading.Event()
+        future.add_done_callback(lambda _: harvested.set())
+        with pytest.raises(BrokenExecutor):
+            future.result(timeout=60)
+        assert harvested.wait(timeout=60)
+        stats = pool.stats()
+        assert stats["started"] and stats["broken"]
+        with pytest.raises(BrokenExecutor):  # every later submit fails too
+            session.submit(_seeded_draw, (1, 1))
+        assert pool.stats()["broken"]
 
 
 def test_pool_close_is_idempotent_and_final():
