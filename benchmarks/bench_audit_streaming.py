@@ -26,7 +26,7 @@ import time
 from repro.config import RuntimeConfig, get_profile
 from repro.datasets.registry import load_dataset
 from repro.models.registry import build_classifier
-from repro.runtime import AuditGateway, AuditService, DetectorRegistry
+from repro.runtime import AuditGateway, AuditService, DetectorRegistry, blas
 from repro.runtime.registry import DetectorSpec
 
 
@@ -137,6 +137,7 @@ def main() -> None:
         "batch_models_per_second": args.models / max(batch_total_s, 1e-9),
         "stream_models_per_second": args.models / max(stream_total_s, 1e-9),
         "verdicts_bit_identical": True,
+        "environment": blas.environment(args.workers),
     }
     with open(args.json, "w") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)

@@ -27,6 +27,7 @@ from repro.config import get_profile
 from repro.core.detector import BpromDetector
 from repro.datasets.registry import load_dataset
 from repro.models.registry import build_classifier
+from repro.runtime import blas
 
 
 def main() -> None:
@@ -154,6 +155,7 @@ def main() -> None:
         "batched_query_calls": batched_calls,
         "speedup": speedup,
         "verdicts_equivalent": True,
+        "environment": blas.environment(),
     }
     with open(args.json, "w") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)

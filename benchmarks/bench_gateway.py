@@ -57,7 +57,7 @@ from repro.models.registry import build_classifier
 from repro.obs import get_tracer
 from repro.obs.export import export_jsonl, export_metrics
 from repro.obs.report import queries_per_verdict, render_report, stage_summary
-from repro.runtime import AuditGateway, AuditService, DetectorRegistry, VerdictCache
+from repro.runtime import AuditGateway, AuditService, DetectorRegistry, VerdictCache, blas
 from repro.runtime.registry import DetectorSpec
 
 
@@ -371,6 +371,7 @@ def main() -> None:
         "cached_zipf_verdicts_per_second": submission_count / max(cached_zipf_s, 1e-9),
         "cache_speedup": cache_speedup,
         "max_warm_score_deviation": warm_deviation,
+        "environment": blas.environment(args.workers),
         "telemetry": {
             "spans": len(trace_spans),
             "trace": trace_path.name,

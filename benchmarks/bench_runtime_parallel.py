@@ -29,7 +29,7 @@ from repro.core.shadow import ShadowModelFactory
 from repro.config import get_profile
 from repro.datasets.registry import load_dataset
 from repro.models.registry import build_classifier
-from repro.runtime import ParallelExecutor
+from repro.runtime import ParallelExecutor, blas
 
 
 def _time(label: str, fn):
@@ -129,6 +129,7 @@ def main() -> None:
         "inspect_parallel_seconds": parallel_s,
         "inspect_speedup": inspect_speedup,
         "results_bit_identical": True,
+        "environment": blas.environment(args.workers),
     }
     with open(args.json, "w") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)

@@ -48,6 +48,7 @@ from repro.config import RuntimeConfig, get_profile
 from repro.core.detector import BpromDetector
 from repro.core.shadow import ShadowModelFactory
 from repro.datasets.registry import load_dataset
+from repro.runtime import blas
 
 
 def assert_pools_equivalent(sequential, stacked, tolerance=1e-9) -> float:
@@ -189,6 +190,7 @@ def run_tier_compare(profile, arch, models, seed, repeats, test, score_tolerance
         "max_detector_score_gap": max_gap,
         "score_tolerance": score_tolerance,
         "detector_verdicts_match": True,
+        "environment": blas.environment(),
     }
 
 
@@ -336,6 +338,7 @@ def main() -> None:
         "max_state_dict_deviation": max_diff,
         "pools_equivalent": True,
         "cache_keys_mode_independent": not args.skip_cache_check,
+        "environment": blas.environment(),
     }
     with open(args.json, "w") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)

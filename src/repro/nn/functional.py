@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -91,6 +92,9 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 # * im2col(x: (N, C, H, W)) -> cols: (N*out_h*out_w, C*kernel*kernel), with
 #   rows ordered image-major then row-major over the output grid, and columns
 #   ordered channel-major then (ky, kx) row-major over the kernel window.
+#   It is one gather: a cached per-geometry index says which element of the
+#   zero-padded NCHW image every column element copies (the indirection
+#   buffer of the Indirect Convolution Algorithm, Dukhan, arXiv:1907.02129).
 #   conv_windows exposes the same placement tensor as a strided
 #   (N, C, out_h, out_w, k, k) view without the column copy.
 # * col2im(cols) is the exact adjoint: scatter-add over the same ordering,
@@ -110,6 +114,11 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 #: the whole (N, C·k·k, L) buffer in one pass streams it k^2 times through
 #: DRAM; per-image blocks keep the scatter-add resident.
 _COL2IM_BLOCK_BYTES = 1 << 19
+
+#: bounds of the im2col gather index cache: geometries kept, and the largest
+#: index kept (so it never holds more than 16 x 4 MiB; see im2col)
+_UNFOLD_INDEX_CACHE = 16
+_UNFOLD_INDEX_MAX_BYTES = 1 << 22
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -147,24 +156,70 @@ def conv_windows(
     return windows[:, :, ::stride, ::stride], out_h, out_w
 
 
+def _build_unfold_index(
+    c: int, h: int, w: int, kernel: int, stride: int, padding: int
+) -> np.ndarray:
+    """Where each im2col column element sits in one flattened padded image.
+
+    Entry ``[i * out_w + j, (ch * k + ky) * k + kx]`` is the offset of
+    ``padded[ch, i * stride + ky, j * stride + kx]`` in the ``(C, H+2p, W+2p)``
+    image, so row and column order match the module contract exactly.
+    """
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    padded_w = w + 2 * padding
+    taps = np.arange(kernel)
+    col_offsets = (
+        np.arange(c)[:, None, None] * ((h + 2 * padding) * padded_w)
+        + taps[None, :, None] * padded_w
+        + taps[None, None, :]
+    ).reshape(-1)
+    row_offsets = (
+        np.arange(out_h)[:, None] * (stride * padded_w)
+        + np.arange(out_w)[None, :] * stride
+    ).reshape(-1)
+    index = (row_offsets[:, None] + col_offsets[None, :]).astype(np.intp)
+    index.flags.writeable = False
+    return index
+
+
+_cached_unfold_index = lru_cache(maxsize=_UNFOLD_INDEX_CACHE)(_build_unfold_index)
+
+
 def im2col(
     x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
     """Unfold an NCHW batch into a column matrix.
 
-    Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N * out_h * out_w, C * kernel * kernel)`` — see the module-level
+    Returns ``(cols, out_h, out_w)`` where ``cols`` is a fresh C-contiguous
+    ``(N * out_h * out_w, C * kernel * kernel)`` array — see the module-level
     contract above for the exact row/column ordering.
 
-    Built on :func:`conv_windows`: the unfold itself is a zero-copy view (no
-    per-offset Python loop), and the only copy is the final reshape into
-    column layout.  The input dtype is preserved, so float32 megabatches stay
-    float32 end to end.
+    The unfold is one ``np.take`` over the zero-padded batch, flattened per
+    image, with an index built once per ``(C, H, W, kernel, stride,
+    padding)``.  The index cache is bounded: at most ``_UNFOLD_INDEX_CACHE``
+    geometries, each with an index of at most ``_UNFOLD_INDEX_MAX_BYTES``
+    (one ``intp`` per column element of a single image); larger geometries
+    rebuild theirs per call.  Every element is a plain copy, so the columns
+    are byte for byte those of ``conv_windows``' transposed view, and the
+    input dtype is preserved.  The input is never written.
     """
-    n, c = x.shape[:2]
-    windows, out_h, out_w = conv_windows(x, kernel, stride, padding)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kernel * kernel)
-    return cols, out_h, out_w
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    index_bytes = out_h * out_w * c * kernel * kernel * np.dtype(np.intp).itemsize
+    build = (
+        _cached_unfold_index
+        if index_bytes <= _UNFOLD_INDEX_MAX_BYTES
+        else _build_unfold_index
+    )
+    index = build(c, h, w, kernel, stride, padding)
+    if padding > 0:
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding : padding + h, padding : padding + w] = x
+        x = padded
+    cols = np.take(x.reshape(n, -1), index, axis=1)
+    return cols.reshape(n * out_h * out_w, c * kernel * kernel), out_h, out_w
 
 
 def _fold_block(padded, cols6, kernel: int, stride: int, out_h: int, out_w: int) -> None:

@@ -9,7 +9,8 @@ The runtime layer turns the BPROM pipeline into a production-shaped system:
   of the embarrassingly-parallel stages (shadow training, prompting,
   suspicious-model inspection) over thread or process pools.
 * :mod:`~repro.runtime.blas` — the BLAS thread budget every pool runs
-  under: ``max(1, cores // workers)`` OpenBLAS threads per worker.
+  under: ``max(1, cores // workers)`` OpenBLAS threads per worker; its
+  ``environment()`` is the cores/BLAS/versions block benchmarks record.
 * :class:`~repro.runtime.pipeline.StagedPipeline` — the stage graph
   (shadow -> prompt -> meta -> inspect) with per-stage caching and reports.
 * :class:`~repro.runtime.sharding.ShardedArtifactStore` — one cache federated

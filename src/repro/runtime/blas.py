@@ -35,10 +35,11 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import platform
 import threading
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -108,6 +109,31 @@ def apply_budget(limit: int) -> None:
     current = threads()
     if current is not None and limit < current:
         _set(limit)
+
+
+def environment(workers: Optional[int] = None) -> Dict[str, Any]:
+    """The cores, BLAS build and versions a benchmark number was measured with.
+
+    ``blas_threads`` is the process's count when called; with ``workers``,
+    ``pool_blas_threads`` adds the count each worker of a pool that wide runs
+    at, since a pool's budget is gone again by the time its results are
+    written.
+    """
+    config = getattr(np, "__config__", None)
+    build = getattr(config, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    env: Dict[str, Any] = {
+        "cpu_count": os.cpu_count(),
+        "usable_cores": usable_cores(),
+        "blas_library": build.get("name"),
+        "blas_version": build.get("version"),
+        "blas_threads": threads(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+    if workers is not None:
+        env["pool_workers"] = workers
+        env["pool_blas_threads"] = capped(budget(workers))
+    return env
 
 
 #: the limits of open thread scopes, and the count from before the first one;

@@ -207,3 +207,25 @@ def test_budget_is_a_noop_without_openblas(cores, monkeypatch):
         assert pool.session().submit(blas.threads).result() is None
         stats = pool.stats()
         assert (stats["cores"], stats["blas_threads"]) == (4, None)
+
+
+def test_environment_reports_cores_blas_and_versions(cores, count_of):
+    cores(4)
+    count_of(3)
+    env = blas.environment()
+    assert env["usable_cores"] == 4 and env["cpu_count"] >= 1
+    assert env["blas_threads"] == 3
+    assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
+    assert "pool_workers" not in env
+    pooled = blas.environment(workers=2)
+    assert (pooled["pool_workers"], pooled["pool_blas_threads"]) == (2, 2)
+    # the report reads the count, it never sets it
+    assert blas.threads() == 3
+
+
+def test_environment_without_openblas_reports_no_threads(cores, monkeypatch):
+    cores(2)
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    env = blas.environment(workers=2)
+    assert env["blas_threads"] is None and env["pool_blas_threads"] is None
+    assert env["usable_cores"] == 2

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn import functional
 from repro.nn.functional import (
     accuracy,
     col2im,
+    conv_windows,
     im2col,
     log_softmax,
     one_hot,
@@ -250,7 +252,7 @@ def test_im2col_col2im_are_adjoint(rng):
 
 
 def test_im2col_matches_reference_loop(rng):
-    """The sliding_window_view unfold equals the per-offset gather, any geometry."""
+    """The cached-index gather unfold equals a per-offset slice loop, any geometry."""
     for kernel, stride, padding in ((3, 1, 1), (2, 2, 0), (3, 2, 1), (4, 3, 2)):
         x = rng.normal(size=(2, 3, 9, 9))
         cols, out_h, out_w = im2col(x, kernel=kernel, stride=stride, padding=padding)
@@ -263,6 +265,122 @@ def test_im2col_matches_reference_loop(rng):
                 ]
         reference = reference.transpose(0, 4, 5, 1, 2, 3).reshape(cols.shape)
         np.testing.assert_array_equal(cols, reference)
+
+
+def _strided_view_im2col(x, kernel, stride, padding):
+    """The unfold as a copy of conv_windows' transposed view: the gather's oracle."""
+    n, c = x.shape[:2]
+    windows, out_h, out_w = conv_windows(x, kernel, stride, padding)
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kernel * kernel)
+
+
+def _unfold_inputs(rng, n, c, h, w, dtype):
+    """One batch in each layout the conv and pooling layers hand to im2col."""
+    nhwc = rng.normal(size=(n, h, w, c)).astype(dtype)
+    wide = rng.normal(size=(n, 2 * c, h, w)).astype(dtype)
+    return {
+        "contiguous": rng.normal(size=(n, c, h, w)).astype(dtype),
+        # every conv after the stem receives an NCHW view of NHWC memory
+        "nhwc_memory": nhwc.transpose(0, 3, 1, 2),
+        # grouped convs unfold a channel slice of their input
+        "channel_slice": wide[:, c:],
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_im2col_gather_is_byte_exact_to_the_strided_view(dtype):
+    sweep = np.random.default_rng(1407)
+    for kernel in (1, 2, 3, 4):
+        for stride in (1, 2, 3):
+            for padding in (0, 1, 2):
+                c = int(sweep.choice([1, 3, 8, 16]))
+                h, w = (int(v) for v in sweep.choice(np.arange(kernel, 11), 2, replace=False))
+                n = int(sweep.integers(1, 4))
+                for layout, x in _unfold_inputs(sweep, n, c, h, w, dtype).items():
+                    before = x.copy()
+                    cols, out_h, out_w = im2col(x, kernel, stride, padding)
+                    expected = _strided_view_im2col(x, kernel, stride, padding)
+                    case = (layout, c, h, w, kernel, stride, padding)
+                    assert cols.shape == expected.shape == (n * out_h * out_w, c * kernel**2), case
+                    assert cols.dtype == dtype, case
+                    assert cols.flags["C_CONTIGUOUS"], case
+                    assert cols.tobytes() == expected.tobytes(), case
+                    assert x.tobytes() == before.tobytes(), case
+
+
+def test_im2col_index_cache_is_read_only_and_bounded(rng, monkeypatch):
+    functional._cached_unfold_index.cache_clear()
+    x = rng.normal(size=(2, 3, 7, 9))
+    im2col(x, 3, 1, 1)
+    im2col(x, 3, 1, 1)
+    info = functional._cached_unfold_index.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert info.maxsize == functional._UNFOLD_INDEX_CACHE
+    index = functional._cached_unfold_index(3, 7, 9, 3, 1, 1)
+    assert index.dtype == np.intp and not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0, 0] = 0
+    # a geometry whose index is over the per-entry byte bound is built per
+    # call and never enters the cache, yet unfolds the same columns
+    monkeypatch.setattr(functional, "_UNFOLD_INDEX_MAX_BYTES", index.nbytes - 1)
+    cols, _, _ = im2col(x, 3, 1, 1)
+    cols_big, _, _ = im2col(x, 3, 1, 2)
+    assert functional._cached_unfold_index.cache_info().currsize == 1
+    assert cols.tobytes() == _strided_view_im2col(x, 3, 1, 1).tobytes()
+    assert cols_big.tobytes() == _strided_view_im2col(x, 3, 1, 2).tobytes()
+
+
+def _batchnorm_eval_reference(bn, x):
+    """Eval BatchNorm as four out-of-place temporaries: (out, x_hat, std_inv)."""
+    x2 = bn._to_2d(x)
+    std_inv = 1.0 / np.sqrt(bn.get_buffer("running_var") + bn.eps)
+    x_hat = (x2 - bn.get_buffer("running_mean")) * std_inv
+    out2 = bn.gamma.data * x_hat + bn.beta.data
+    return bn._from_2d(out2, x.shape), x_hat, std_inv
+
+
+#: (layer, input maker) per (BatchNorm kind, input layout); conv outputs,
+#: which BatchNorm2d normalises, are NCHW views of NHWC memory
+BATCHNORM_EVAL_INPUTS = {
+    ("1d", "contiguous"): (nn.BatchNorm1d, lambda rng: rng.normal(size=(12, 6))),
+    ("1d", "transposed"): (nn.BatchNorm1d, lambda rng: rng.normal(size=(6, 12)).T),
+    ("2d", "contiguous"): (nn.BatchNorm2d, lambda rng: rng.normal(size=(3, 6, 5, 4))),
+    ("2d", "nhwc_memory"): (
+        nn.BatchNorm2d,
+        lambda rng: rng.normal(size=(3, 5, 4, 6)).transpose(0, 3, 1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", list(BATCHNORM_EVAL_INPUTS), ids="-".join)
+def test_batchnorm_eval_in_place_matches_out_of_place(rng, case, dtype):
+    cls, make_input = BATCHNORM_EVAL_INPUTS[case]
+    bn = cls(6)
+    # non-trivial statistics and affine terms, so an aliased buffer shows
+    bn.gamma.data = rng.normal(1.0, 0.5, size=6)
+    bn.beta.data = rng.normal(0.0, 0.5, size=6)
+    bn.set_buffer("running_mean", rng.normal(size=6))
+    bn.set_buffer("running_var", rng.uniform(0.5, 2.0, size=6))
+    bn.astype(dtype).eval()
+    x = make_input(rng).astype(dtype)
+    before = x.copy()
+    expected, x_hat, std_inv = _batchnorm_eval_reference(bn, x)
+    out = bn(x)
+    assert out.dtype == expected.dtype == dtype
+    assert out.shape == expected.shape and out.strides == expected.strides
+    assert out.tobytes() == expected.tobytes()
+    assert bn._x_hat.dtype == x_hat.dtype and bn._x_hat.tobytes() == x_hat.tobytes()
+    assert x.tobytes() == before.tobytes()
+    # eval backward (white-box prompting) reads the stored x_hat
+    grad = rng.normal(size=out.shape).astype(dtype)
+    g2 = bn._to_2d(grad)
+    grad_input = bn.backward(grad)
+    expected_input = bn._from_2d(g2 * bn.gamma.data * std_inv, x.shape)
+    assert grad_input.dtype == expected_input.dtype
+    assert grad_input.tobytes() == expected_input.tobytes()
+    assert bn.gamma.grad.tobytes() == np.sum(g2 * x_hat, axis=0).astype(dtype).tobytes()
+    assert bn.beta.grad.tobytes() == np.sum(g2, axis=0).astype(dtype).tobytes()
 
 
 def test_im2col_preserves_dtype(rng):
