@@ -53,18 +53,14 @@ class _BatchNormBase(Module):
             mean = self.get_buffer("running_mean")
             var = self.get_buffer("running_var")
         self._std_inv = 1.0 / np.sqrt(var + self.eps)
-        if self.training:
-            self._x_hat = (x2 - mean) * self._std_inv
-            out2 = self.gamma.data * self._x_hat + self.beta.data
-        else:
-            # every black-box query runs this branch: the same elementwise ops
-            # and dtypes as above (mean/var and gamma/beta share a dtype), with
-            # two of the four temporaries updated in place instead
-            x_hat = x2 - mean
-            x_hat *= self._std_inv
-            self._x_hat = x_hat
-            out2 = self.gamma.data * x_hat
-            out2 += self.beta.data
+        # gamma * ((x2 - mean) * std_inv) + beta with two of its four
+        # temporaries updated in place: the same ops and result dtypes, as
+        # mean/var and gamma/beta each share a dtype, so the same bits
+        x_hat = x2 - mean
+        x_hat *= self._std_inv
+        self._x_hat = x_hat
+        out2 = self.gamma.data * x_hat
+        out2 += self.beta.data
         return self._from_2d(out2, x.shape)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -330,18 +330,22 @@ def test_im2col_index_cache_is_read_only_and_bounded(rng, monkeypatch):
     assert cols_big.tobytes() == _strided_view_im2col(x, 3, 1, 2).tobytes()
 
 
-def _batchnorm_eval_reference(bn, x):
-    """Eval BatchNorm as four out-of-place temporaries: (out, x_hat, std_inv)."""
+def _batchnorm_reference(bn, x):
+    """BatchNorm as four out-of-place temporaries: (out, x_hat, std_inv)."""
     x2 = bn._to_2d(x)
-    std_inv = 1.0 / np.sqrt(bn.get_buffer("running_var") + bn.eps)
-    x_hat = (x2 - bn.get_buffer("running_mean")) * std_inv
+    if bn.training:
+        mean, var = x2.mean(axis=0), x2.var(axis=0)
+    else:
+        mean, var = bn.get_buffer("running_mean"), bn.get_buffer("running_var")
+    std_inv = 1.0 / np.sqrt(var + bn.eps)
+    x_hat = (x2 - mean) * std_inv
     out2 = bn.gamma.data * x_hat + bn.beta.data
     return bn._from_2d(out2, x.shape), x_hat, std_inv
 
 
 #: (layer, input maker) per (BatchNorm kind, input layout); conv outputs,
 #: which BatchNorm2d normalises, are NCHW views of NHWC memory
-BATCHNORM_EVAL_INPUTS = {
+BATCHNORM_INPUTS = {
     ("1d", "contiguous"): (nn.BatchNorm1d, lambda rng: rng.normal(size=(12, 6))),
     ("1d", "transposed"): (nn.BatchNorm1d, lambda rng: rng.normal(size=(6, 12)).T),
     ("2d", "contiguous"): (nn.BatchNorm2d, lambda rng: rng.normal(size=(3, 6, 5, 4))),
@@ -352,26 +356,30 @@ BATCHNORM_EVAL_INPUTS = {
 }
 
 
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("case", list(BATCHNORM_EVAL_INPUTS), ids="-".join)
-def test_batchnorm_eval_in_place_matches_out_of_place(rng, case, dtype):
-    cls, make_input = BATCHNORM_EVAL_INPUTS[case]
+@pytest.mark.parametrize("case", list(BATCHNORM_INPUTS), ids="-".join)
+def test_batchnorm_in_place_matches_out_of_place(rng, case, dtype, training):
+    cls, make_input = BATCHNORM_INPUTS[case]
     bn = cls(6)
     # non-trivial statistics and affine terms, so an aliased buffer shows
     bn.gamma.data = rng.normal(1.0, 0.5, size=6)
     bn.beta.data = rng.normal(0.0, 0.5, size=6)
     bn.set_buffer("running_mean", rng.normal(size=6))
     bn.set_buffer("running_var", rng.uniform(0.5, 2.0, size=6))
-    bn.astype(dtype).eval()
+    bn.astype(dtype)
+    (bn.train if training else bn.eval)()
     x = make_input(rng).astype(dtype)
     before = x.copy()
-    expected, x_hat, std_inv = _batchnorm_eval_reference(bn, x)
+    expected, x_hat, std_inv = _batchnorm_reference(bn, x)
     out = bn(x)
     assert out.dtype == expected.dtype == dtype
     assert out.shape == expected.shape and out.strides == expected.strides
     assert out.tobytes() == expected.tobytes()
     assert bn._x_hat.dtype == x_hat.dtype and bn._x_hat.tobytes() == x_hat.tobytes()
     assert x.tobytes() == before.tobytes()
+    if training:
+        return
     # eval backward (white-box prompting) reads the stored x_hat
     grad = rng.normal(size=out.shape).astype(dtype)
     g2 = bn._to_2d(grad)
