@@ -1,66 +1,26 @@
-"""2-D convolution with selectable engines: implicit GEMM, pointwise, im2col.
+"""2-D convolution as im2col unfold plus one GEMM per group.
 
-The layer keeps three interchangeable execution paths for ``groups == 1``:
-
-* **pointwise** — ``kernel_size == 1 && padding == 0``: the convolution *is* a
-  channel-mixing matmul, so forward/backward run directly on the (strided)
-  input without any unfold at all.
-* **implicit GEMM** — contract ``einsum('nchwyx,ocyx->nohw')`` directly over
-  the zero-copy :func:`~repro.nn.functional.conv_windows` placement view,
-  never materialising the ``(N*L, C*k*k)`` column copy that makes explicit
-  im2col memory-bound; grad-input uses the fused cache-blocked
-  :func:`~repro.nn.functional.matmul_col2im`.
-* **im2col** — the explicit unfold-GEMM path (also the grouped/depthwise
-  fallback), issuing exactly the GEMM shapes the layer has always issued.
-
-Engine selection is **precision-gated**.  Re-tiling or re-orienting a GEMM
-changes BLAS kernel choice and hence accumulation rounding on this platform,
-so the alternative engines are *not* bitwise-interchangeable with im2col —
-they agree only to accumulation-rounding tolerance (~1e-15 relative per
-element in float64).  The float64 reference tier carries a bit-identity
-contract (stacked/sequential parity, warm artifact caches keyed on weight
-fingerprints), so under ``auto`` it always runs im2col; its backward still
-benefits from the cache-blocked :func:`~repro.nn.functional.col2im`, whose
-scatter-add blocking provably preserves per-element accumulation order.  The
-float32 training tier's contract is tolerance-bounded detector equivalence,
-not byte parity, so under ``auto`` it picks pointwise / implicit by the size
-heuristic (implicit once the would-be column buffer exceeds
-``_IMPLICIT_MIN_COLS_BYTES``; dispatch-bound small shapes stay on im2col).
-``REPRO_CONV_ENGINE`` (``auto`` | ``im2col`` | ``implicit``) overrides the
-heuristic in any dtype for benchmarking and the engine-parity tests.
+:func:`~repro.nn.functional.im2col` gathers every receptive field into a
+``(N*L, C*k*k)`` column matrix through a cached per-geometry index, so the
+convolution is ``cols @ weight.T``; backward issues the two transposed GEMMs
+and folds the grad-columns back with the cache-blocked
+:func:`~repro.nn.functional.col2im`, whose scatter-add blocking preserves
+per-element accumulation order.  Every dtype runs these same GEMM shapes, so
+the float64 reference tier's bit-identity contract (stacked/sequential parity,
+warm artifact caches keyed on weight fingerprints) holds by construction;
+:class:`~repro.nn.stacked.StackedConv2d` issues per-model cores of the same
+shapes, so stacked and sequential pools match bit for bit in either tier.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.nn import init
-from repro.nn.functional import col2im, conv_windows, im2col, matmul_col2im
+from repro.nn.functional import col2im, im2col
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.utils.rng import SeedLike, new_rng
-
-#: accepted values for the REPRO_CONV_ENGINE override
-CONV_ENGINES = ("auto", "im2col", "implicit")
-
-#: minimum size of the would-be im2col column buffer before the implicit
-#: engine takes over under "auto": below this the whole problem fits in cache
-#: and the explicit unfold's single BLAS GEMM has the lowest dispatch
-#: overhead; above it the k^2-sized column copy is pure memory traffic that
-#: the implicit contraction avoids
-_IMPLICIT_MIN_COLS_BYTES = 1 << 18
-
-
-def conv_engine_override() -> str:
-    """The process-wide conv engine override from ``REPRO_CONV_ENGINE``."""
-    engine = (os.environ.get("REPRO_CONV_ENGINE") or "auto").lower()
-    if engine not in CONV_ENGINES:
-        raise ValueError(
-            f"REPRO_CONV_ENGINE must be one of {CONV_ENGINES}, got {engine!r}"
-        )
-    return engine
 
 
 class Conv2d(Module):
@@ -107,94 +67,20 @@ class Conv2d(Module):
         self.use_bias = bool(bias)
         if self.use_bias:
             self.bias = Parameter(init.zeros((out_channels,)), name="bias")
+        # forward leaves exactly one of these set: the cached columns, or the
+        # input that backward re-unfolds; neither means no forward has run
+        self._cols = None
+        self._eval_input = None
+        self._eval_backward_used = False
 
-    # -- engine selection --------------------------------------------------
-    def _select_engine(self, x: np.ndarray) -> str:
-        """Pick the execution path for this input (see module docstring)."""
-        if self.groups != 1:
-            return "im2col"
-        engine = conv_engine_override()
-        low_precision = x.dtype == np.float32
-        if (
-            self.kernel_size == 1
-            and self.padding == 0
-            and (low_precision or engine == "implicit")
-        ):
-            return "pointwise"
-        if engine != "auto":
-            return engine
-        if not low_precision:
-            # float64 reference tier: bit-identity contract — keep the exact
-            # historical GEMM shapes
-            return "im2col"
-        n, c, h, w = x.shape
-        out_h = (h + 2 * self.padding - self.kernel_size) // self.stride + 1
-        out_w = (w + 2 * self.padding - self.kernel_size) // self.stride + 1
-        cols_bytes = (
-            n * out_h * out_w * c * self.kernel_size * self.kernel_size * x.itemsize
-        )
-        return "implicit" if cols_bytes >= _IMPLICIT_MIN_COLS_BYTES else "im2col"
-
-    # -- helpers -----------------------------------------------------------
     def _unfold_group(self, x: np.ndarray, group: int):
         cin_g = self.in_channels // self.groups
         xg = x if self.groups == 1 else x[:, group * cin_g : (group + 1) * cin_g]
         return im2col(xg, self.kernel_size, self.stride, self.padding)
 
-    def _strided_input(self, x: np.ndarray) -> np.ndarray:
-        """The input pixels a pointwise (k=1, p=0) conv actually reads."""
-        if self.stride == 1:
-            return x
-        return x[:, :, :: self.stride, :: self.stride]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._input_shape = x.shape
         self._dtype = x.dtype
-        engine = self._select_engine(x)
-        self._engine = engine
-        if engine == "pointwise":
-            return self._forward_pointwise(x)
-        if engine == "implicit":
-            return self._forward_implicit(x)
-        return self._forward_im2col(x)
-
-    def _forward_pointwise(self, x: np.ndarray) -> np.ndarray:
-        # a 1x1 convolution is channel mixing: (C_out, C_in) @ (N, C_in, L)
-        # without any unfold copy.  The sequential and stacked layers issue
-        # identically-shaped per-image cores, so the twins stay consistent
-        # with each other even though this orientation rounds differently
-        # than the im2col GEMM.
-        n = x.shape[0]
-        xs = self._strided_input(x)
-        out_h, out_w = xs.shape[2], xs.shape[3]
-        x3 = xs.reshape(n, self.in_channels, out_h * out_w)
-        # the strided view is cheap to retain; backward reuses it in both
-        # train and eval mode (white-box prompting backprops in eval)
-        self._pw_x3 = x3
-        self._out_hw = (out_h, out_w)
-        w2 = self.weight.data.reshape(self.out_channels, self.in_channels)
-        merged = np.matmul(w2, x3).reshape(n, self.out_channels, out_h, out_w)
-        if self.use_bias:
-            merged = merged + self.bias.data[None, :, None, None]
-        return merged
-
-    def _forward_implicit(self, x: np.ndarray) -> np.ndarray:
-        windows, out_h, out_w = conv_windows(
-            x, self.kernel_size, self.stride, self.padding
-        )
-        # the placement view costs at most one input-sized padded copy (vs the
-        # k^2-sized column buffer), so it is retained unconditionally — eval
-        # backwards (white-box prompting) reuse it without a re-unfold
-        self._windows = windows
-        self._out_hw = (out_h, out_w)
-        merged = np.einsum(
-            "nchwyx,ocyx->nohw", windows, self.weight.data, optimize=True
-        )
-        if self.use_bias:
-            merged = merged + self.bias.data[None, :, None, None]
-        return merged
-
-    def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
         cout_g = self.out_channels // self.groups
         # im2col buffers are kernel^2 x larger than the input.  Pure inference
@@ -204,7 +90,7 @@ class Conv2d(Module):
         # cache the buffers only while backward passes are actually consuming
         # them (one lazy re-unfold re-arms the cache, one backward-free
         # forward drops it)
-        keep_cols = self.training or getattr(self, "_eval_backward_used", False)
+        keep_cols = self.training or self._eval_backward_used
         self._eval_backward_used = False
         cols_cache = [] if keep_cols else None
         if self.groups == 1:
@@ -224,7 +110,6 @@ class Conv2d(Module):
                 outputs.append(cols @ wg.reshape(cout_g, -1).T)
             # each output is (N*out_h*out_w, cout_g); stack along channel axis
             merged = np.concatenate(outputs, axis=1)
-        self._out_hw = (out_h, out_w)
         self._cols = cols_cache
         # the input reference backs the lazy re-unfold; moot when the cols are
         # already cached, so retain at most one of the two
@@ -235,64 +120,6 @@ class Conv2d(Module):
         return merged
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self.use_bias:
-            self.bias.accumulate_grad(grad_output.sum(axis=(0, 2, 3)))
-        engine = getattr(self, "_engine", None)
-        if engine is None:
-            raise RuntimeError("Conv2d.backward called before forward")
-        if engine == "pointwise":
-            return self._backward_pointwise(grad_output)
-        if engine == "implicit":
-            return self._backward_implicit(grad_output)
-        return self._backward_im2col(grad_output)
-
-    def _backward_pointwise(self, grad_output: np.ndarray) -> np.ndarray:
-        n, _, out_h, out_w = grad_output.shape
-        hw = out_h * out_w
-        x3 = self._pw_x3
-        # grad_weight core: (C_out, N*L) @ (N*L, C_in) — the same GEMM the
-        # im2col path issues on its column matrix
-        grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(n * hw, self.out_channels)
-        x_cols = x3.transpose(0, 2, 1).reshape(n * hw, self.in_channels)
-        self.weight.accumulate_grad(
-            (grad_flat.T @ x_cols).reshape(self.weight.data.shape)
-        )
-        w2 = self.weight.data.reshape(self.out_channels, self.in_channels)
-        grad3 = np.matmul(
-            w2.T, grad_output.reshape(n, self.out_channels, hw)
-        )
-        if self.stride == 1:
-            grad_input = grad3.reshape(self._input_shape)
-        else:
-            # k=1 means every input pixel feeds at most one output pixel:
-            # scatter without accumulation, skipped pixels stay zero
-            grad_input = np.zeros(self._input_shape, dtype=grad3.dtype)
-            grad_input[:, :, :: self.stride, :: self.stride] = grad3.reshape(
-                n, self.in_channels, out_h, out_w
-            )
-        return np.asarray(grad_input, dtype=self._dtype)
-
-    def _backward_implicit(self, grad_output: np.ndarray) -> np.ndarray:
-        n, _, out_h, out_w = grad_output.shape
-        self.weight.accumulate_grad(
-            np.einsum("nohw,nchwyx->ocyx", grad_output, self._windows, optimize=True)
-        )
-        grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(
-            n * out_h * out_w, self.out_channels
-        )
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        grad_input = matmul_col2im(
-            grad_flat, w_mat, self._input_shape, self.kernel_size, self.stride, self.padding
-        )
-        return np.asarray(grad_input, dtype=self._dtype)
-
-    def _backward_im2col(self, grad_output: np.ndarray) -> np.ndarray:
-        n, _, out_h, out_w = grad_output.shape
-        cin_g = self.in_channels // self.groups
-        cout_g = self.out_channels // self.groups
-        grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, self.out_channels)
-        if not self.training:
-            self._eval_backward_used = True
         cols_cache = self._cols
         if cols_cache is None:
             # eval-mode backward (white-box prompting runs the frozen model in
@@ -302,6 +129,14 @@ class Conv2d(Module):
             cols_cache = [
                 self._unfold_group(self._eval_input, g)[0] for g in range(self.groups)
             ]
+        if not self.training:
+            self._eval_backward_used = True
+        if self.use_bias:
+            self.bias.accumulate_grad(grad_output.sum(axis=(0, 2, 3)))
+        n, _, out_h, out_w = grad_output.shape
+        cin_g = self.in_channels // self.groups
+        cout_g = self.out_channels // self.groups
+        grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, self.out_channels)
         if self.groups == 1:
             cols = cols_cache[0]
             w_mat = self.weight.data.reshape(self.out_channels, -1)

@@ -86,8 +86,8 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # im2col / col2im — the workhorse behind Conv2d and the pooling layers.
 #
-# Shape/dtype contract (shared by the explicit im2col GEMM path and the
-# implicit-GEMM engine in repro.nn.conv, which must stay interchangeable):
+# Shape/dtype contract (Conv2d, StackedConv2d and the pooling layers build
+# on it):
 #
 # * im2col(x: (N, C, H, W)) -> cols: (N*out_h*out_w, C*kernel*kernel), with
 #   rows ordered image-major then row-major over the output grid, and columns
@@ -96,17 +96,16 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 #   zero-padded NCHW image every column element copies (the indirection
 #   buffer of the Indirect Convolution Algorithm, Dukhan, arXiv:1907.02129).
 #   conv_windows exposes the same placement tensor as a strided
-#   (N, C, out_h, out_w, k, k) view without the column copy.
+#   (N, C, out_h, out_w, k, k) view; it is the reference the gather is
+#   tested against.
 # * col2im(cols) is the exact adjoint: scatter-add over the same ordering,
 #   back to (N, C, H, W).
 # * Both preserve the input dtype (float32 stays float32; the accumulator in
 #   col2im is the cols dtype).  col2im's cache blocking is bitwise-safe (it
-#   never reorders any per-element accumulation), but anything that re-tiles
-#   or re-orients a *GEMM* — matmul_col2im's fused fold, the implicit/
-#   pointwise conv engines — changes BLAS kernel selection and rounds
-#   differently on some shapes; those paths agree with the explicit form only
-#   to accumulation-rounding tolerance and are reserved for the float32 tier
-#   (see repro.nn.conv).
+#   never reorders any per-element accumulation).  Re-tiling or re-orienting
+#   the GEMM around them would not be: it changes BLAS kernel selection and
+#   rounds differently on some shapes, which the float64 bit-identity
+#   contract rules out (see repro.nn.conv).
 # ---------------------------------------------------------------------------
 
 #: byte budget per col2im scatter-add tile; sized so one tile's working set
@@ -141,9 +140,8 @@ def conv_windows(
     ``(N, C, out_h, out_w, kernel, kernel)`` view (over a padded copy when
     ``padding > 0``) whose ``[n, c, i, j]`` block is the receptive field of
     output pixel ``(i, j)``.  ``im2col`` is exactly
-    ``windows.transpose(0, 2, 3, 1, 4, 5).reshape(N*out_h*out_w, C*k*k)``;
-    the implicit-GEMM conv engine contracts over this view directly instead
-    of materialising that k^2-times-larger column copy.
+    ``windows.transpose(0, 2, 3, 1, 4, 5).reshape(N*out_h*out_w, C*k*k)``,
+    which makes this view the test oracle for the cached-index gather.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, padding)
@@ -222,24 +220,6 @@ def im2col(
     return cols.reshape(n * out_h * out_w, c * kernel * kernel), out_h, out_w
 
 
-def _fold_block(padded, cols6, kernel: int, stride: int, out_h: int, out_w: int) -> None:
-    """Scatter-add one image block of placement gradients into ``padded``.
-
-    ``cols6`` is ``(B, C, k, k, out_h, out_w)``; per (ky, kx) offset the
-    strided slice assignment is the adjoint of the ``conv_windows`` view.
-    """
-    for ky in range(kernel):
-        y_max = ky + stride * out_h
-        for kx in range(kernel):
-            x_max = kx + stride * out_w
-            padded[:, :, ky:y_max:stride, kx:x_max:stride] += cols6[:, :, ky, kx, :, :]
-
-
-def _col2im_block_images(per_image_bytes: int) -> int:
-    """How many images one col2im scatter-add tile should cover."""
-    return max(1, _COL2IM_BLOCK_BYTES // max(per_image_bytes, 1))
-
-
 def col2im(
     cols: np.ndarray,
     input_shape: Tuple[int, int, int, int],
@@ -261,54 +241,17 @@ def col2im(
     out_w = conv_output_size(w, kernel, stride, padding)
     cols6 = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
     padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    block = _col2im_block_images(out_h * out_w * c * kernel * kernel * cols.itemsize)
+    per_image_bytes = out_h * out_w * c * kernel * kernel * cols.itemsize
+    block = max(1, _COL2IM_BLOCK_BYTES // max(per_image_bytes, 1))
     for start in range(0, n, block):
-        _fold_block(
-            padded[start : start + block],
-            cols6[start : start + block],
-            kernel,
-            stride,
-            out_h,
-            out_w,
-        )
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
-
-
-def matmul_col2im(
-    grad_flat: np.ndarray,
-    w_mat: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Fused ``col2im(grad_flat @ w_mat)`` without the full column buffer.
-
-    ``grad_flat`` is ``(N*out_h*out_w, C_out)`` (image-major rows, like
-    im2col) and ``w_mat`` is ``(C_out, C*k*k)``; the result is the conv
-    grad-input of shape ``input_shape``.  Each image tile runs its slice of
-    the GEMM and immediately folds the product while it is cache-hot, so the
-    ``(N*out_h*out_w, C*k*k)`` intermediate never exists in full.  Row
-    blocking re-tiles the GEMM, which can change BLAS kernel selection and
-    hence rounding, so the result matches the unfused two-step form only to
-    accumulation tolerance — this fused path therefore backs the implicit
-    conv engine (float32 tier), never the float64 reference path.
-    """
-    n, c, h, w = input_shape
-    out_h = conv_output_size(h, kernel, stride, padding)
-    out_w = conv_output_size(w, kernel, stride, padding)
-    hw = out_h * out_w
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=grad_flat.dtype)
-    block = _col2im_block_images(hw * c * kernel * kernel * grad_flat.itemsize)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        grad_cols = grad_flat[start * hw : stop * hw] @ w_mat
-        cols6 = grad_cols.reshape(
-            stop - start, out_h, out_w, c, kernel, kernel
-        ).transpose(0, 3, 4, 5, 1, 2)
-        _fold_block(padded[start:stop], cols6, kernel, stride, out_h, out_w)
+        tile, tile_cols = padded[start : start + block], cols6[start : start + block]
+        # per (ky, kx) offset the strided slice assignment is the adjoint of
+        # the conv_windows view
+        for ky in range(kernel):
+            y_max = ky + stride * out_h
+            for kx in range(kernel):
+                x_max = kx + stride * out_w
+                tile[:, :, ky:y_max:stride, kx:x_max:stride] += tile_cols[:, :, ky, kx]
     if padding > 0:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.nn.activations import GELU, Identity, LeakyReLU, ReLU, Sigmoid, Tanh
 from repro.nn.attention import MultiHeadSelfAttention, PatchEmbedding
-from repro.nn.conv import Conv2d, conv_engine_override
+from repro.nn.conv import Conv2d
 from repro.nn.functional import im2col, col2im, log_softmax, softmax
 from repro.nn.layers import Dropout, Flatten, Linear
 from repro.nn.module import Module
@@ -157,6 +157,9 @@ class StackedConv2d(Module):
         self.use_bias = bias is not None
         if self.use_bias:
             self.bias = Parameter(bias, name="bias")
+        # as in Conv2d: forward sets one of these, so neither means no forward
+        self._cols = None
+        self._eval_input = None
 
     @classmethod
     def from_modules(cls, modules: Sequence[Conv2d]) -> "StackedConv2d":
@@ -174,24 +177,10 @@ class StackedConv2d(Module):
         xg = x_flat if self.groups == 1 else x_flat[:, group * cin_g : (group + 1) * cin_g]
         return im2col(xg, self.kernel_size, self.stride, self.padding)
 
-    def _select_pointwise(self, x: np.ndarray) -> bool:
-        # precision-gated exactly like Conv2d's pointwise engine, and with the
-        # same per-model core shapes, so the stacked layer and its sequential
-        # twin always round identically for the same input dtype
-        return (
-            self.kernel_size == 1
-            and self.padding == 0
-            and self.groups == 1
-            and (x.dtype == np.float32 or conv_engine_override() == "implicit")
-        )
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         pool, batch = x.shape[0], x.shape[1]
         self._input_shape = x.shape
         self._dtype = x.dtype
-        self._pointwise = self._select_pointwise(x)
-        if self._pointwise:
-            return self._forward_pointwise(x)
         x_flat = x.reshape(pool * batch, *x.shape[2:])
         cout_g = self.out_channels // self.groups
         cols_cache = [] if self.training else None
@@ -214,53 +203,9 @@ class StackedConv2d(Module):
             merged = merged + self.bias.data[:, None, :, None, None]
         return merged
 
-    def _forward_pointwise(self, x: np.ndarray) -> np.ndarray:
-        # per-model 1x1 convs are channel-mixing matmuls; a single batched
-        # matmul over the model axis has the same per-model 2-D GEMM core
-        # shape as the sequential pointwise path, so the twins round alike
-        pool, batch = x.shape[0], x.shape[1]
-        xs = x if self.stride == 1 else x[:, :, :, :: self.stride, :: self.stride]
-        out_h, out_w = xs.shape[3], xs.shape[4]
-        x4 = xs.reshape(pool, batch, self.in_channels, out_h * out_w)
-        self._pw_x4 = x4
-        self._out_hw = (out_h, out_w)
-        w3 = self.weight.data.reshape(pool, self.out_channels, self.in_channels)
-        merged = np.matmul(w3[:, None], x4).reshape(
-            pool, batch, self.out_channels, out_h, out_w
-        )
-        if self.use_bias:
-            merged = merged + self.bias.data[:, None, :, None, None]
-        return merged
-
-    def _backward_pointwise(self, grad_output: np.ndarray) -> np.ndarray:
-        pool, batch = self._input_shape[:2]
-        out_h, out_w = self._out_hw
-        hw = out_h * out_w
-        if self.use_bias:
-            self.bias.accumulate_grad(grad_output.sum(axis=(1, 3, 4)))
-        x4 = self._pw_x4
-        g4 = grad_output.reshape(pool, batch, self.out_channels, hw)
-        # grad-weight core per model: (C_out, B*L) @ (B*L, C_in), matching the
-        # sequential pointwise GEMM row order (image-major then output-pixel)
-        g_rows = g4.transpose(0, 2, 1, 3).reshape(pool, self.out_channels, batch * hw)
-        x_rows = x4.transpose(0, 1, 3, 2).reshape(pool, batch * hw, self.in_channels)
-        self.weight.accumulate_grad(
-            np.matmul(g_rows, x_rows).reshape(self.weight.data.shape)
-        )
-        w3 = self.weight.data.reshape(pool, self.out_channels, self.in_channels)
-        grad4 = np.matmul(w3.transpose(0, 2, 1)[:, None], g4)
-        if self.stride == 1:
-            grad_input = grad4.reshape(self._input_shape)
-        else:
-            grad_input = np.zeros(self._input_shape, dtype=grad4.dtype)
-            grad_input[:, :, :, :: self.stride, :: self.stride] = grad4.reshape(
-                pool, batch, self.in_channels, out_h, out_w
-            )
-        return np.asarray(grad_input, dtype=self._dtype)
-
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if getattr(self, "_pointwise", False):
-            return self._backward_pointwise(grad_output)
+        if self._cols is None and self._eval_input is None:
+            raise RuntimeError("StackedConv2d.backward called before forward")
         pool, batch = self._input_shape[:2]
         out_h, out_w = self._out_hw
         cin_g = self.in_channels // self.groups
@@ -272,8 +217,6 @@ class StackedConv2d(Module):
         )
         cols_cache = self._cols
         if cols_cache is None:
-            if self._eval_input is None:
-                raise RuntimeError("StackedConv2d.backward called before forward")
             cols_cache = [
                 self._unfold_group(self._eval_input, group)[0].reshape(
                     pool, batch * out_h * out_w, -1

@@ -425,9 +425,12 @@ class VerdictCache:
     def get_or_compute(self, key: Dict[str, Any], name: str, compute: Callable[[], Any]) -> Any:
         """Serve from any tier, deduplicate in flight, or inspect and fill.
 
-        The synchronous composition of the whole protocol, used by the batch
-        :class:`~repro.runtime.service.AuditService` and by tests; the
-        streaming paths drive :meth:`lookup`/:meth:`begin` asynchronously.
+        The synchronous composition of the whole protocol, for single-threaded
+        callers and tests.  No runtime path uses it: the batch
+        :class:`~repro.runtime.service.AuditService` drives :meth:`lookup`,
+        :meth:`record_miss`, :meth:`record_dedup` and :meth:`store_verdict`
+        itself, and the streaming paths drive :meth:`lookup`/:meth:`begin`
+        asynchronously.
         """
         if not self.enabled:
             return compute()

@@ -16,6 +16,7 @@ from repro.nn.functional import (
     one_hot,
     softmax,
 )
+from repro.nn.stacked import StackedConv2d
 
 
 def numerical_input_gradient_check(module, x, rng, tolerance=1e-4, probes=4):
@@ -41,6 +42,10 @@ LAYER_CASES = [
     ("conv-stride", lambda: nn.Conv2d(3, 4, 3, stride=2, padding=1, rng=1), (2, 3, 8, 8)),
     ("conv-depthwise", lambda: nn.Conv2d(4, 4, 3, padding=1, groups=4, rng=1), (2, 4, 6, 6)),
     ("conv-grouped", lambda: nn.Conv2d(4, 6, 3, stride=2, padding=1, groups=2, rng=1), (2, 4, 8, 8)),
+    ("conv-k1", lambda: nn.Conv2d(6, 4, 1, rng=1), (2, 6, 8, 8)),
+    ("conv-k1-stride", lambda: nn.Conv2d(6, 4, 1, stride=2, rng=1), (2, 6, 9, 9)),
+    ("conv-k5-pad2", lambda: nn.Conv2d(2, 3, 5, padding=2, rng=1), (2, 2, 10, 10)),
+    ("conv-k3-nopad", lambda: nn.Conv2d(4, 6, 3, rng=1), (3, 4, 7, 7)),
     ("bn2d", lambda: nn.BatchNorm2d(3), (4, 3, 5, 5)),
     ("bn1d", lambda: nn.BatchNorm1d(6), (8, 6)),
     ("layernorm", lambda: nn.LayerNorm(8), (2, 5, 8)),
@@ -406,10 +411,22 @@ def test_pooling_backward_keeps_forward_dtype(rng):
         assert grad.dtype == np.float32
 
 
-@pytest.mark.parametrize("groups", [1, 2], ids=["ungrouped", "grouped"])
-def test_conv_backward_keeps_forward_dtype(rng, groups):
-    conv = nn.Conv2d(4, 4, 3, padding=1, groups=groups, rng=1)
-    x = rng.normal(size=(2, 4, 8, 8)).astype(np.float32)
+DTYPE_CONV_CASES = [
+    ("ungrouped", dict(in_channels=4, out_channels=4, kernel_size=3, padding=1), (2, 4, 8, 8)),
+    ("grouped", dict(in_channels=4, out_channels=4, kernel_size=3, padding=1, groups=2), (2, 4, 8, 8)),
+    ("k1", dict(in_channels=6, out_channels=4, kernel_size=1), (2, 6, 8, 8)),
+    ("k1-stride", dict(in_channels=6, out_channels=4, kernel_size=1, stride=2), (2, 6, 9, 9)),
+    ("k5-pad2", dict(in_channels=2, out_channels=3, kernel_size=5, padding=2), (2, 2, 10, 10)),
+    ("k3-nopad", dict(in_channels=4, out_channels=6, kernel_size=3), (3, 4, 7, 7)),
+]
+
+
+@pytest.mark.parametrize(
+    "conv_kwargs,shape", [c[1:] for c in DTYPE_CONV_CASES], ids=[c[0] for c in DTYPE_CONV_CASES]
+)
+def test_conv_backward_keeps_forward_dtype(rng, conv_kwargs, shape):
+    conv = nn.Conv2d(rng=1, **conv_kwargs)
+    x = rng.normal(size=shape).astype(np.float32)
     out = conv(x)
     grad = conv.backward(np.ones_like(out, dtype=np.float64))
     assert grad.dtype == np.float32
@@ -489,6 +506,22 @@ def test_conv_eval_mode_drops_im2col_scratch_but_backward_still_works(rng):
     assert conv._cols is None
 
 
+@pytest.mark.parametrize(
+    "make_layer",
+    [
+        lambda: nn.Conv2d(3, 4, 3, padding=1, rng=1),
+        lambda: StackedConv2d.from_modules(
+            [nn.Conv2d(3, 4, 3, padding=1, rng=seed) for seed in (1, 2)]
+        ),
+    ],
+    ids=["conv", "stacked"],
+)
+def test_conv_backward_before_forward_raises(make_layer):
+    layer = make_layer()
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        layer.backward(np.ones((2, 4, 8, 8)))
+
+
 def test_clip_grad_norm_scales_gradients(rng):
     params = [nn.Parameter(rng.normal(size=(4,))) for _ in range(3)]
     for param in params:
@@ -501,119 +534,8 @@ def test_clip_grad_norm_scales_gradients(rng):
 
 
 # ---------------------------------------------------------------------------
-# conv engines and precision tiers
+# col2im blocking and precision tiers
 # ---------------------------------------------------------------------------
-
-ENGINE_CASES = [
-    ("k3", dict(in_channels=3, out_channels=4, kernel_size=3, padding=1), (2, 3, 8, 8)),
-    ("k3-stride", dict(in_channels=3, out_channels=4, kernel_size=3, stride=2, padding=1), (2, 3, 9, 9)),
-    ("k5-pad2", dict(in_channels=2, out_channels=3, kernel_size=5, padding=2), (2, 2, 10, 10)),
-    ("k3-nopad", dict(in_channels=4, out_channels=6, kernel_size=3), (3, 4, 7, 7)),
-    ("k1", dict(in_channels=6, out_channels=4, kernel_size=1), (2, 6, 8, 8)),
-    ("k1-stride", dict(in_channels=6, out_channels=4, kernel_size=1, stride=2), (2, 6, 9, 9)),
-    ("grouped", dict(in_channels=4, out_channels=6, kernel_size=3, stride=2, padding=1, groups=2), (2, 4, 8, 8)),
-    ("depthwise", dict(in_channels=4, out_channels=4, kernel_size=3, padding=1, groups=4), (2, 4, 6, 6)),
-    ("big", dict(in_channels=8, out_channels=8, kernel_size=3, padding=1), (8, 8, 16, 16)),
-]
-
-
-def _run_conv(conv_kwargs, x, upstream, engine, monkeypatch, training=True):
-    """One forward+backward under a forced engine; returns all four tensors."""
-    monkeypatch.setenv("REPRO_CONV_ENGINE", engine)
-    conv = nn.Conv2d(rng=1, **conv_kwargs)
-    if not training:
-        conv.eval()
-    out = conv(x)
-    grad_input = conv.backward(upstream)
-    return out, grad_input, conv.weight.grad.copy(), conv.bias.grad.copy()
-
-
-@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-@pytest.mark.parametrize(
-    "name,conv_kwargs,shape", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES]
-)
-def test_conv_engines_agree_within_float64_tolerance(
-    name, conv_kwargs, shape, training, rng, monkeypatch
-):
-    """Implicit-GEMM (and the pointwise shortcut it enables for k=1) must match
-    the explicit im2col engine to 1e-9 at float64 on every geometry — stride,
-    padding, groups (where implicit falls back to im2col) and eval mode."""
-    x = rng.normal(size=shape)
-    probe = nn.Conv2d(rng=1, **conv_kwargs)
-    upstream = rng.normal(size=probe(x).shape)
-    reference = _run_conv(conv_kwargs, x, upstream, "im2col", monkeypatch, training)
-    implicit = _run_conv(conv_kwargs, x, upstream, "implicit", monkeypatch, training)
-    for ref, got, label in zip(reference, implicit, ("out", "grad_input", "grad_weight", "grad_bias")):
-        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9, err_msg=f"{name}/{label}")
-
-
-def test_conv_float64_auto_keeps_the_explicit_engine(rng, monkeypatch):
-    """The reference tier carries a bit-identity contract: under "auto" a
-    float64 conv must run the historical im2col path, never the re-tiled
-    engines whose GEMMs round differently."""
-    monkeypatch.delenv("REPRO_CONV_ENGINE", raising=False)
-    for kwargs, shape in (
-        (dict(in_channels=3, out_channels=4, kernel_size=3, padding=1), (16, 3, 16, 16)),
-        (dict(in_channels=6, out_channels=4, kernel_size=1), (2, 6, 8, 8)),
-    ):
-        conv = nn.Conv2d(rng=1, **kwargs)
-        conv(rng.normal(size=shape))
-        assert conv._engine == "im2col"
-
-
-def test_conv_float32_auto_selects_fast_engines(rng, monkeypatch):
-    """The float32 tier picks pointwise for 1x1 convs and implicit GEMM once
-    the would-be column buffer is large, and its results stay float32 and
-    within float32 accumulation tolerance of the explicit engine."""
-    monkeypatch.delenv("REPRO_CONV_ENGINE", raising=False)
-    pointwise = nn.Conv2d(6, 4, 1, rng=1)
-    pointwise(rng.normal(size=(2, 6, 8, 8)).astype(np.float32))
-    assert pointwise._engine == "pointwise"
-
-    kwargs = dict(in_channels=8, out_channels=8, kernel_size=3, padding=1)
-    x = rng.normal(size=(16, 8, 32, 32)).astype(np.float32)
-    auto = nn.Conv2d(rng=1, **kwargs).astype(np.float32)
-    out_auto = auto(x)
-    assert auto._engine == "implicit"
-    assert out_auto.dtype == np.float32
-    upstream = rng.normal(size=out_auto.shape).astype(np.float32)
-    grad_auto = auto.backward(upstream)
-    assert grad_auto.dtype == np.float32
-
-    monkeypatch.setenv("REPRO_CONV_ENGINE", "im2col")
-    explicit = nn.Conv2d(rng=1, **kwargs).astype(np.float32)
-    out_ref = explicit(x)
-    grad_ref = explicit.backward(upstream)
-    np.testing.assert_allclose(out_auto, out_ref, rtol=0.0, atol=1e-4)
-    np.testing.assert_allclose(grad_auto, grad_ref, rtol=0.0, atol=1e-4)
-    np.testing.assert_allclose(auto.weight.grad, explicit.weight.grad, rtol=0.0, atol=1e-3)
-
-
-def test_conv_engine_override_rejects_unknown_value(monkeypatch):
-    from repro.nn.conv import conv_engine_override
-
-    monkeypatch.setenv("REPRO_CONV_ENGINE", "winograd")
-    with pytest.raises(ValueError, match="REPRO_CONV_ENGINE"):
-        conv_engine_override()
-
-
-def test_matmul_col2im_matches_unfused_form(rng):
-    from repro.nn.functional import matmul_col2im
-
-    for kernel, stride, padding, shape in (
-        (3, 1, 1, (5, 3, 8, 8)),
-        (3, 2, 1, (4, 2, 9, 9)),
-        (5, 1, 2, (3, 4, 10, 10)),
-    ):
-        n, c, h, w = shape
-        out_h = (h + 2 * padding - kernel) // stride + 1
-        out_w = (w + 2 * padding - kernel) // stride + 1
-        cout = 6
-        grad_flat = rng.normal(size=(n * out_h * out_w, cout))
-        w_mat = rng.normal(size=(cout, c * kernel * kernel))
-        fused = matmul_col2im(grad_flat, w_mat, shape, kernel, stride, padding)
-        unfused = col2im(grad_flat @ w_mat, shape, kernel, stride, padding)
-        np.testing.assert_allclose(fused, unfused, rtol=0.0, atol=1e-9)
 
 
 def test_col2im_blocking_is_bitwise_stable(rng):
