@@ -16,7 +16,7 @@ from repro import nn
 from repro.config import TrainingConfig
 from repro.datasets.base import ImageDataset
 from repro.datasets.transforms import random_horizontal_flip
-from repro.nn.functional import accuracy, softmax
+from repro.nn.functional import accuracy, inference_chunks, softmax
 from repro.nn.module import Module
 from repro.utils.rng import SeedLike, new_rng
 
@@ -161,36 +161,42 @@ class ImageClassifier:
         return history
 
     # -- inference ------------------------------------------------------------
-    def predict_logits(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Raw logits for an NCHW batch (model switched to eval mode)."""
+    def _infer(
+        self, forward, images: np.ndarray, width: int, batch_size: Optional[int]
+    ) -> np.ndarray:
+        """Run ``forward`` in eval mode over inference chunks of ``images``.
+
+        ``batch_size=None`` takes the geometry-sized balanced chunks of
+        :func:`~repro.nn.functional.inference_chunks`; an explicit size
+        splits ``range(0, N, batch_size)``.  No images give ``(0, width)``.
+        """
         self.model.eval()
         images = self._as_input(images)
-        outputs = []
-        for start in range(0, images.shape[0], batch_size):
-            outputs.append(self.model(images[start : start + batch_size]))
-        if not outputs:
-            return np.empty((0, self.num_classes), dtype=self.dtype)
-        return np.concatenate(outputs, axis=0)
+        chunks = inference_chunks(
+            self.model, images.shape[0], images.shape, self.dtype, batch_size
+        )
+        if not chunks:
+            return np.empty((0, width), dtype=self.dtype)
+        return np.concatenate([forward(images[chunk]) for chunk in chunks], axis=0)
 
-    def predict_proba(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict_logits(self, images: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
+        """Raw logits for an NCHW batch (model switched to eval mode)."""
+        return self._infer(self.model, images, self.num_classes, batch_size)
+
+    def predict_proba(self, images: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
         """Softmax confidence vectors — the only view a black-box defender gets."""
         return softmax(self.predict_logits(images, batch_size), axis=1)
 
-    def predict(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict(self, images: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
         """Hard label predictions."""
         return np.argmax(self.predict_logits(images, batch_size), axis=1)
 
-    def features(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def features(self, images: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
         """Penultimate-layer features (white-box defenses and visualisation only)."""
-        self.model.eval()
-        images = self._as_input(images)
-        outputs = []
-        for start in range(0, images.shape[0], batch_size):
-            outputs.append(self.model.features(images[start : start + batch_size]))
-        return np.concatenate(outputs, axis=0)
+        return self._infer(self.model.features, images, self.model.feature_dim, batch_size)
 
     # -- evaluation -------------------------------------------------------------
-    def evaluate(self, dataset: ImageDataset, batch_size: int = 256) -> float:
+    def evaluate(self, dataset: ImageDataset, batch_size: Optional[int] = None) -> float:
         """Top-1 accuracy on a dataset."""
         if len(dataset) == 0:
             return 0.0

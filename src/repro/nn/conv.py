@@ -73,6 +73,11 @@ class Conv2d(Module):
         self._eval_input = None
         self._eval_backward_used = False
 
+    @property
+    def unfold_width(self) -> int:
+        """Columns of this layer's unfold, ``(in_channels // groups) * k^2``."""
+        return (self.in_channels // self.groups) * self.kernel_size**2
+
     def _unfold_group(self, x: np.ndarray, group: int):
         cin_g = self.in_channels // self.groups
         xg = x if self.groups == 1 else x[:, group * cin_g : (group + 1) * cin_g]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -113,6 +113,13 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 #: the whole (N, C·k·k, L) buffer in one pass streams it k^2 times through
 #: DRAM; per-image blocks keep the scatter-add resident.
 _COL2IM_BLOCK_BYTES = 1 << 19
+
+#: byte budget of the widest conv unfold in one eval-mode inference chunk
+#: (see inference_rows); picked by a resnet18 audit sweep over 2-16 MiB
+_INFERENCE_UNFOLD_BYTES = 1 << 23
+
+#: most images per inference chunk, and the chunk of conv-free models
+_INFERENCE_MAX_ROWS = 256
 
 #: bounds of the im2col gather index cache: geometries kept, and the largest
 #: index kept (so it never holds more than 16 x 4 MiB; see im2col)
@@ -255,6 +262,48 @@ def col2im(
     if padding > 0:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded
+
+
+def inference_rows(model, image_shape: Tuple[int, ...], dtype) -> int:
+    """Most images one eval-mode forward of ``model`` should take at once.
+
+    ``widest`` is the largest unfold row, ``(in_channels // groups) * k^2``,
+    over the model's conv leaves (any module with an ``unfold_width``:
+    ``Conv2d`` and ``StackedConv2d``).  The row count keeps an unfold of that
+    width over the full ``H x W`` image within ``_INFERENCE_UNFOLD_BYTES``,
+    capped at ``_INFERENCE_MAX_ROWS``, which conv-free models always get.
+    Only the model's geometry, the image size and the dtype enter, never the
+    worker count or backend, so every backend chunks a batch alike.
+    """
+    widest = max((getattr(m, "unfold_width", 0) for m in model.modules()), default=0)
+    if widest == 0:
+        return _INFERENCE_MAX_ROWS
+    image_bytes = image_shape[-2] * image_shape[-1] * np.dtype(dtype).itemsize * widest
+    return max(1, min(_INFERENCE_MAX_ROWS, _INFERENCE_UNFOLD_BYTES // image_bytes))
+
+
+def balanced_chunks(n: int, rows: int) -> List[slice]:
+    """Cover ``range(n)`` with ``ceil(n / rows)`` slices differing by at most one.
+
+    A plain ``range(0, n, rows)`` split can leave a tail of one or two
+    images, and forwards that small round differently from wide ones;
+    balanced chunks of ``n > rows`` images each hold more than ``rows / 2``.
+    """
+    count = -(-n // rows)
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
+def inference_chunks(
+    model, n: int, image_shape: Tuple[int, ...], dtype, batch_size: Optional[int] = None
+) -> List[slice]:
+    """Image slices of one eval-mode inference over ``n`` images.
+
+    An explicit ``batch_size`` splits ``range(0, n, batch_size)``; ``None``
+    takes balanced chunks of at most :func:`inference_rows` images.
+    """
+    if batch_size is not None:
+        return [slice(start, start + batch_size) for start in range(0, n, batch_size)]
+    return balanced_chunks(n, inference_rows(model, image_shape, dtype))
 
 
 def clip_grad_norm(parameters, max_norm: float) -> float:

@@ -51,7 +51,7 @@ import numpy as np
 from repro.nn.activations import GELU, Identity, LeakyReLU, ReLU, Sigmoid, Tanh
 from repro.nn.attention import MultiHeadSelfAttention, PatchEmbedding
 from repro.nn.conv import Conv2d
-from repro.nn.functional import im2col, col2im, log_softmax, softmax
+from repro.nn.functional import im2col, col2im, inference_chunks, log_softmax, softmax
 from repro.nn.layers import Dropout, Flatten, Linear
 from repro.nn.module import Module
 from repro.nn.norm import BatchNorm1d, BatchNorm2d, LayerNorm
@@ -171,6 +171,8 @@ class StackedConv2d(Module):
         weight = np.stack([m.weight.data for m in modules])
         bias = np.stack([m.bias.data for m in modules]) if first.use_bias else None
         return cls(len(modules), first, weight, bias)
+
+    unfold_width = Conv2d.unfold_width
 
     def _unfold_group(self, x_flat: np.ndarray, group: int):
         cin_g = self.in_channels // self.groups
@@ -921,7 +923,7 @@ def fit_stacked(
 def predict_logits_many(
     classifiers: Sequence,
     images: np.ndarray,
-    batch_size: int = 256,
+    batch_size: Optional[int] = None,
     per_model: bool = False,
 ) -> np.ndarray:
     """Raw logits of K models in one stacked eval pass, shape ``(K, N, classes)``.
@@ -929,7 +931,10 @@ def predict_logits_many(
     ``images`` is a shared ``(N, ...)`` batch, or per-model ``(K, N, ...)``
     inputs when ``per_model`` is true (e.g. differently prompted queries).
     Accepts :class:`~repro.models.classifier.ImageClassifier` instances or raw
-    modules; results equal per-model ``predict_logits`` bit for bit.
+    modules; results equal per-model ``predict_logits`` at the same
+    ``batch_size`` bit for bit.  ``None`` chunks the images as
+    :func:`~repro.nn.functional.inference_chunks` does for one model, so a
+    stacked chunk holds K times the bytes of a per-model one.
     """
     models = [getattr(c, "model", c) for c in classifiers]
     if not models:
@@ -949,12 +954,11 @@ def predict_logits_many(
     else:
         num_samples = images.shape[0]
     outputs = []
-    for start in range(0, num_samples, batch_size):
+    for rows in inference_chunks(stacked, num_samples, images.shape, param_dtype, batch_size):
         if per_model:
-            chunk = images[:, start : start + batch_size]
-            xb = np.ascontiguousarray(chunk, dtype=param_dtype)
+            xb = np.ascontiguousarray(images[:, rows], dtype=param_dtype)
         else:
-            chunk = images[start : start + batch_size]
+            chunk = images[rows]
             xb = np.broadcast_to(chunk, (pool, *chunk.shape)).astype(param_dtype)
         outputs.append(stacked(xb))
     if not outputs:
@@ -966,7 +970,7 @@ def predict_logits_many(
 def predict_proba_many(
     classifiers: Sequence,
     images: np.ndarray,
-    batch_size: int = 256,
+    batch_size: Optional[int] = None,
     per_model: bool = False,
 ) -> np.ndarray:
     """Softmax confidence vectors of K models in one stacked pass, ``(K, N, classes)``."""

@@ -45,11 +45,13 @@ import numpy as np
 
 _GET_THREADS = "scipy_openblas_get_num_threads64_"
 _SET_THREADS = "scipy_openblas_set_num_threads64_"
+_CORE_NAME = "scipy_openblas_get_corename64_"
 
 
 @lru_cache(maxsize=None)
-def _openblas() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+def _openblas() -> Optional[Tuple[Callable[[], int], Callable[[int], None], Any]]:
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, plus its
+    core-name function (``None`` if absent), or None.
 
     ``ctypes.CDLL`` on the library numpy already loaded returns that same
     loaded copy, so these functions act on the OpenBLAS numpy calls into.
@@ -66,7 +68,10 @@ def _openblas() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        core = getattr(lib, _CORE_NAME, None)
+        if core is not None:
+            core.argtypes, core.restype = [], ctypes.c_char_p
+        return get, set_, core
     return None
 
 
@@ -87,6 +92,16 @@ def threads() -> Optional[int]:
     """The process's current BLAS thread count; ``None`` without OpenBLAS."""
     api = _openblas()
     return None if api is None else api[0]()
+
+
+def core() -> Optional[str]:
+    """The CPU core whose kernels OpenBLAS's DYNAMIC_ARCH picked, or ``None``.
+
+    Bitwise results can differ between cores, so a report of them names it.
+    """
+    api = _openblas()
+    name = None if api is None or api[2] is None else api[2]()
+    return name.decode() if name else None
 
 
 def _set(count: int) -> None:
@@ -126,6 +141,7 @@ def environment(workers: Optional[int] = None) -> Dict[str, Any]:
         "usable_cores": usable_cores(),
         "blas_library": build.get("name"),
         "blas_version": build.get("version"),
+        "blas_core": core(),
         "blas_threads": threads(),
         "numpy": np.__version__,
         "python": platform.python_version(),

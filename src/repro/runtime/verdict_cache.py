@@ -71,8 +71,10 @@ from repro.runtime.store import (
 #: artifact kind under which cached verdicts live in the store
 VERDICT_KIND = "audit-verdict"
 
-#: bump when the cached-verdict payload layout changes incompatibly
-VERDICT_CACHE_FORMAT_VERSION = 1
+#: bump when the cached-verdict payload layout, or the bits an inspection
+#: computes, change; store entries of another version are deleted unserved
+#: (2: inference chunks sized by model geometry, see nn.functional)
+VERDICT_CACHE_FORMAT_VERSION = 2
 
 #: fixed per-entry bookkeeping charge added to the serialized payload size
 #: when accounting the in-memory tier against ``max_bytes``
@@ -526,12 +528,13 @@ class VerdictCache:
         }
 
     def _load_store(self, key: Dict[str, Any]) -> Optional[Any]:
-        """The persisted verdict for ``key``, or ``None`` (absent/expired).
+        """The persisted verdict for ``key``, or ``None`` (absent/expired/stale).
 
         JSON round-trips floats exactly (repr-based), so a loaded verdict is
-        bit-identical to the one written.  An entry older than the TTL is
-        deleted — :meth:`~repro.runtime.store.ArtifactStore.open_write` keeps
-        existing directories, so the re-audit could never land otherwise.
+        bit-identical to the one written.  An entry older than the TTL, or
+        written under another ``VERDICT_CACHE_FORMAT_VERSION``, is deleted —
+        :meth:`~repro.runtime.store.ArtifactStore.open_write` keeps existing
+        directories, so the re-audit could never land otherwise.
         """
         if not self.store.enabled:
             return None
@@ -540,8 +543,10 @@ class VerdictCache:
         )
         if document is MISS:
             return None
-        created = float(document.get("created", 0.0))
-        if self._expired(created):
+        if document.get("format_version") != VERDICT_CACHE_FORMAT_VERSION:
+            self.store.delete(VERDICT_KIND, key)
+            return None
+        if self._expired(float(document.get("created", 0.0))):
             with self._lock:
                 self.expirations += 1
             self.store.delete(VERDICT_KIND, key)

@@ -215,6 +215,7 @@ def test_environment_reports_cores_blas_and_versions(cores, count_of):
     env = blas.environment()
     assert env["usable_cores"] == 4 and env["cpu_count"] >= 1
     assert env["blas_threads"] == 3
+    assert isinstance(env["blas_core"], str) and env["blas_core"]
     assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
     assert "pool_workers" not in env
     pooled = blas.environment(workers=2)
@@ -228,4 +229,5 @@ def test_environment_without_openblas_reports_no_threads(cores, monkeypatch):
     monkeypatch.setattr(blas, "_openblas", lambda: None)
     env = blas.environment(workers=2)
     assert env["blas_threads"] is None and env["pool_blas_threads"] is None
+    assert env["blas_core"] is None
     assert env["usable_cores"] == 2

@@ -12,6 +12,9 @@ from repro.models import (
     build_classifier,
     build_model,
 )
+from repro.nn.functional import balanced_chunks, inference_rows
+from repro.nn.stacked import stack_modules
+from repro.runtime import blas
 
 ARCHITECTURES = ["resnet18", "mobilenetv2", "mobilevit", "mlp"]
 
@@ -93,6 +96,54 @@ def test_classifier_batched_prediction_matches_single_batch(trained_mlp, tiny_te
     full = trained_mlp.predict_logits(tiny_test_dataset.images, batch_size=1000)
     chunked = trained_mlp.predict_logits(tiny_test_dataset.images, batch_size=7)
     assert np.allclose(full, chunked)
+
+
+def test_inference_rows_follow_model_geometry():
+    shape = (1, 3, 16, 16)
+    resnet = build_model("resnet18", num_classes=10, image_size=16, rng=0)
+    # widest unfold: 16 channels x 3x3 = 144 columns; 8 MiB / (256 px * 8 B * 144)
+    assert inference_rows(resnet, shape, np.float64) == 28
+    assert inference_rows(resnet, shape, np.float32) == 56
+    twin = build_model("resnet18", num_classes=10, image_size=16, rng=1)
+    assert inference_rows(stack_modules([resnet, twin]), shape, np.float64) == 28
+    mlp = build_model("mlp", num_classes=10, image_size=16, rng=0)
+    assert inference_rows(mlp, shape, np.float64) == 256
+
+
+def test_balanced_chunks_cover_n_and_differ_by_at_most_one():
+    for rows in (1, 5, 28, 256):
+        for n in (0, 1, 27, 28, 29, 37, 128, 1056):
+            chunks = balanced_chunks(n, rows)
+            assert len(chunks) == -(-n // rows)
+            covered = [i for chunk in chunks for i in range(n)[chunk]]
+            assert covered == list(range(n))
+            sizes = [chunk.stop - chunk.start for chunk in chunks]
+            if sizes:
+                assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "architecture,image_size", [("resnet18", 16), ("mobilenetv2", 32), ("mobilevit", 16)]
+)
+def test_default_inference_chunks_match_one_wide_chunk_bitwise(
+    architecture, image_size, threads, rng
+):
+    classifier = build_classifier(architecture, 10, image_size, rng=0)
+    with blas.ThreadScope(threads):
+        for n in (128, 32, 37, 1):
+            images = rng.random((n, 3, image_size, image_size))
+            default = classifier.predict_logits(images)
+            wide = classifier.predict_logits(images, batch_size=256)
+            assert default.tobytes() == wide.tobytes(), n
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_empty_batch_gives_empty_logits_and_features(architecture):
+    classifier = build_classifier(architecture, 4, 12, rng=0)
+    empty = np.empty((0, 3, 12, 12))
+    assert classifier.predict_logits(empty).shape == (0, 4)
+    assert classifier.features(empty).shape == (0, classifier.model.feature_dim)
 
 
 def test_image_classifier_wraps_any_module(rng):

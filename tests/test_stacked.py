@@ -10,6 +10,7 @@ from repro.config import RuntimeConfig, TrainingConfig
 from repro.core.detector import BpromDetector
 from repro.core.shadow import ShadowModelFactory
 from repro.models.registry import architecture_family, build_classifier
+from repro.nn.functional import inference_rows
 from repro.nn.stacked import (
     UnstackableModelError,
     fit_stacked,
@@ -280,6 +281,12 @@ def test_predict_proba_many_matches_sequential(tiny_dataset, architecture):
     assert pooled.shape == (3, 7, tiny_dataset.num_classes)
     for index, classifier in enumerate(classifiers):
         np.testing.assert_array_equal(pooled[index], classifier.predict_proba(images))
+    # a batch larger than one inference chunk: both sides split it alike
+    rows = inference_rows(classifiers[0].model, images.shape, classifiers[0].dtype)
+    wide = np.random.default_rng(0).random((rows + rows // 2 + 1, *images.shape[1:]))
+    pooled = predict_proba_many(classifiers, wide)
+    for index, classifier in enumerate(classifiers):
+        np.testing.assert_array_equal(pooled[index], classifier.predict_proba(wide))
 
 
 def test_predict_proba_many_per_model_inputs(tiny_dataset, rng):

@@ -5,7 +5,8 @@ the cold path (scores exact after the JSON round trip, labels and metadata
 equal); a warm resubmission spends zero black-box queries; and two threads
 *and* two processes racing on one model fingerprint perform exactly one
 inspection.  Plus the policy boundaries: weighted-LRU eviction with decay,
-TTL expiry in both tiers, and detector-digest bumps invalidating entries.
+TTL expiry in both tiers, and detector-digest and format-version bumps
+invalidating entries.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ import pytest
 from repro.config import RuntimeConfig
 from repro.models.registry import build_classifier
 from repro.runtime import AuditGateway, AuditService, ShardedArtifactStore
+from repro.runtime import verdict_cache as verdict_cache_mod
 from repro.runtime.registry import DetectorSpec
 from repro.runtime.service import AuditVerdict
 from repro.runtime.store import ArtifactStore
 from repro.runtime.verdict_cache import (
+    VERDICT_CACHE_FORMAT_VERSION,
     VERDICT_KIND,
     VerdictCache,
     detector_digest,
@@ -211,6 +214,21 @@ def test_ttl_expires_the_store_tier_and_reaudit_can_land(tmp_path):
     assert not fresh.store.contains(VERDICT_KIND, key)
     fresh.store_verdict(key, make_verdict(score=0.75))
     assert disk_cache(tmp_path).lookup(key, "reaudited").backdoor_score == 0.75
+
+
+def test_other_format_version_is_a_miss_and_reaudit_lands(tmp_path, monkeypatch):
+    key = verdict_cache_key("fp", "digest", "float64")
+    with monkeypatch.context() as old_format:
+        old_format.setattr(verdict_cache_mod, "VERDICT_CACHE_FORMAT_VERSION", 1)
+        disk_cache(tmp_path).store_verdict(key, make_verdict(score=0.25))
+    assert VERDICT_CACHE_FORMAT_VERSION != 1
+    fresh = disk_cache(tmp_path)
+    reaudited = fresh.get_or_compute(key, "resub", lambda: make_verdict(score=0.75))
+    assert reaudited.backdoor_score == 0.75 and reaudited.cache == "cold"
+    stats = fresh.stats()
+    assert (stats["misses"], stats["store_hits"], stats["inspections"]) == (1, 0, 1)
+    # the stale entry was deleted, so (first-wins open_write) the re-audit landed
+    assert disk_cache(tmp_path).lookup(key, "warm").backdoor_score == 0.75
 
 
 def test_detector_refit_bumps_the_digest_and_misses(tmp_path):
