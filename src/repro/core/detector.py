@@ -48,8 +48,10 @@ from repro.runtime.store import (
 from repro.runtime import serialization as ser
 from repro.utils.rng import SeedLike, derive_seed, normalize_seed
 
-#: bump when the saved-detector layout changes incompatibly
-DETECTOR_FORMAT_VERSION = 1
+#: bump when the saved-detector layout, or the bits a fit computes, change;
+#: a store artifact of another version is discarded and refitted
+#: (2: inference chunks sized by model geometry, see nn.functional)
+DETECTOR_FORMAT_VERSION = 2
 
 
 @dataclass

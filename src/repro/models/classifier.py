@@ -16,7 +16,7 @@ from repro import nn
 from repro.config import TrainingConfig
 from repro.datasets.base import ImageDataset
 from repro.datasets.transforms import random_horizontal_flip
-from repro.nn.functional import accuracy, inference_chunks, softmax
+from repro.nn.functional import accuracy, balanced_chunks, inference_rows, softmax
 from repro.nn.module import Module
 from repro.utils.rng import SeedLike, new_rng
 
@@ -164,17 +164,16 @@ class ImageClassifier:
     def _infer(
         self, forward, images: np.ndarray, width: int, batch_size: Optional[int]
     ) -> np.ndarray:
-        """Run ``forward`` in eval mode over inference chunks of ``images``.
+        """Run ``forward`` in eval mode over balanced chunks of ``images``.
 
-        ``batch_size=None`` takes the geometry-sized balanced chunks of
-        :func:`~repro.nn.functional.inference_chunks`; an explicit size
-        splits ``range(0, N, batch_size)``.  No images give ``(0, width)``.
+        Chunks hold at most ``batch_size`` images, or with ``None`` the
+        geometry-sized :func:`~repro.nn.functional.inference_rows`, and
+        differ in size by at most one.  No images give ``(0, width)``.
         """
         self.model.eval()
         images = self._as_input(images)
-        chunks = inference_chunks(
-            self.model, images.shape[0], images.shape, self.dtype, batch_size
-        )
+        rows = batch_size or inference_rows(self.model, images.shape, self.dtype)
+        chunks = balanced_chunks(images.shape[0], rows)
         if not chunks:
             return np.empty((0, width), dtype=self.dtype)
         return np.concatenate([forward(images[chunk]) for chunk in chunks], axis=0)

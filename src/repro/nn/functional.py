@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -114,8 +114,11 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 #: DRAM; per-image blocks keep the scatter-add resident.
 _COL2IM_BLOCK_BYTES = 1 << 19
 
-#: byte budget of the widest conv unfold in one eval-mode inference chunk
-#: (see inference_rows); picked by a resnet18 audit sweep over 2-16 MiB
+#: conservative per-chunk bound on eval-mode conv unfolds: the widest unfold
+#: row of any conv times the full input H x W (see inference_rows).  Convs
+#: that run after a stride see fewer positions, so the largest real unfold
+#: is smaller (4.1 MB in a 28-image chunk of the tiny resnet18 at 16 px).
+#: The value was tuned empirically by a resnet18 audit sweep over 2-16 MiB.
 _INFERENCE_UNFOLD_BYTES = 1 << 23
 
 #: most images per inference chunk, and the chunk of conv-free models
@@ -270,10 +273,12 @@ def inference_rows(model, image_shape: Tuple[int, ...], dtype) -> int:
     ``widest`` is the largest unfold row, ``(in_channels // groups) * k^2``,
     over the model's conv leaves (any module with an ``unfold_width``:
     ``Conv2d`` and ``StackedConv2d``).  The row count keeps an unfold of that
-    width over the full ``H x W`` image within ``_INFERENCE_UNFOLD_BYTES``,
+    width over the full input ``H x W`` within ``_INFERENCE_UNFOLD_BYTES``,
     capped at ``_INFERENCE_MAX_ROWS``, which conv-free models always get.
-    Only the model's geometry, the image size and the dtype enter, never the
-    worker count or backend, so every backend chunks a batch alike.
+    It ignores stride and where in the model the widest conv sits, so it
+    bounds every real unfold from above.  Only the model's geometry, the
+    image size and the dtype enter, never the worker count or backend, so
+    every backend chunks a batch alike.
     """
     widest = max((getattr(m, "unfold_width", 0) for m in model.modules()), default=0)
     if widest == 0:
@@ -291,19 +296,6 @@ def balanced_chunks(n: int, rows: int) -> List[slice]:
     """
     count = -(-n // rows)
     return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
-
-
-def inference_chunks(
-    model, n: int, image_shape: Tuple[int, ...], dtype, batch_size: Optional[int] = None
-) -> List[slice]:
-    """Image slices of one eval-mode inference over ``n`` images.
-
-    An explicit ``batch_size`` splits ``range(0, n, batch_size)``; ``None``
-    takes balanced chunks of at most :func:`inference_rows` images.
-    """
-    if batch_size is not None:
-        return [slice(start, start + batch_size) for start in range(0, n, batch_size)]
-    return balanced_chunks(n, inference_rows(model, image_shape, dtype))
 
 
 def clip_grad_norm(parameters, max_norm: float) -> float:

@@ -51,7 +51,14 @@ import numpy as np
 from repro.nn.activations import GELU, Identity, LeakyReLU, ReLU, Sigmoid, Tanh
 from repro.nn.attention import MultiHeadSelfAttention, PatchEmbedding
 from repro.nn.conv import Conv2d
-from repro.nn.functional import im2col, col2im, inference_chunks, log_softmax, softmax
+from repro.nn.functional import (
+    balanced_chunks,
+    col2im,
+    im2col,
+    inference_rows,
+    log_softmax,
+    softmax,
+)
 from repro.nn.layers import Dropout, Flatten, Linear
 from repro.nn.module import Module
 from repro.nn.norm import BatchNorm1d, BatchNorm2d, LayerNorm
@@ -932,8 +939,9 @@ def predict_logits_many(
     inputs when ``per_model`` is true (e.g. differently prompted queries).
     Accepts :class:`~repro.models.classifier.ImageClassifier` instances or raw
     modules; results equal per-model ``predict_logits`` at the same
-    ``batch_size`` bit for bit.  ``None`` chunks the images as
-    :func:`~repro.nn.functional.inference_chunks` does for one model, so a
+    ``batch_size`` bit for bit, because both split the images into the same
+    balanced chunks.  ``None`` sizes them by
+    :func:`~repro.nn.functional.inference_rows` as for one model, so a
     stacked chunk holds K times the bytes of a per-model one.
     """
     models = [getattr(c, "model", c) for c in classifiers]
@@ -954,7 +962,8 @@ def predict_logits_many(
     else:
         num_samples = images.shape[0]
     outputs = []
-    for rows in inference_chunks(stacked, num_samples, images.shape, param_dtype, batch_size):
+    chunk_rows = batch_size or inference_rows(stacked, images.shape, param_dtype)
+    for rows in balanced_chunks(num_samples, chunk_rows):
         if per_model:
             xb = np.ascontiguousarray(images[:, rows], dtype=param_dtype)
         else:

@@ -212,8 +212,10 @@ def load_meta_classifier(artifact: Artifact, name: str = "meta"):
 
 # -- MNTD baseline -------------------------------------------------------------
 
-#: bump when the on-disk MNTD layout changes incompatibly
-MNTD_FORMAT_VERSION = 1
+#: bump when the on-disk MNTD layout, or the bits a fit computes, change;
+#: a store artifact of another version is discarded and refitted
+#: (2: inference chunks sized by model geometry, see nn.functional)
+MNTD_FORMAT_VERSION = 2
 
 
 def save_mntd_defense(artifact: Artifact, defense, name: str = "mntd") -> None:

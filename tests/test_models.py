@@ -122,6 +122,28 @@ def test_balanced_chunks_cover_n_and_differ_by_at_most_one():
                 assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
 
 
+def test_explicit_and_default_batch_sizes_share_the_balanced_split(rng):
+    classifier = build_classifier("resnet18", 10, 16, rng=0)
+    sizes = []
+    forward = classifier.model.forward
+
+    def recording_forward(x):
+        sizes.append(x.shape[0])
+        return forward(x)
+
+    classifier.model.forward = recording_forward
+    images = rng.random((29, 3, 16, 16))
+    default = classifier.predict_logits(images)  # 28 rows for this geometry
+    assert sizes == [14, 15]
+    sizes.clear()
+    explicit = classifier.predict_logits(images, batch_size=28)
+    assert sizes == [14, 15]
+    assert explicit.tobytes() == default.tobytes()
+    sizes.clear()
+    classifier.predict_logits(images, batch_size=7)
+    assert sizes == [5, 6, 6, 6, 6]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
     "architecture,image_size", [("resnet18", 16), ("mobilenetv2", 32), ("mobilevit", 16)]

@@ -13,6 +13,7 @@ The acceptance properties of the registry subsystem:
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -24,7 +25,7 @@ from repro.config import RuntimeConfig
 from repro.core.detector import BpromDetector
 from repro.defenses.model_level import MNTDDefense
 from repro.runtime import AdvisoryLock, LockTimeout
-from repro.runtime.registry import DetectorRegistry, DetectorSpec, registry_key
+from repro.runtime.registry import DETECTOR_KIND, DetectorRegistry, DetectorSpec, registry_key
 from repro.runtime.store import key_hash
 
 
@@ -252,6 +253,38 @@ def test_concurrent_cold_callers_fit_exactly_once(
     )
 
 
+@pytest.mark.parametrize("defense", ["bprom", "mntd"])
+def test_detector_of_another_format_version_is_refit(
+    defense, specs, tiny_dataset, tiny_test_dataset, tmp_path
+):
+    runtime = RuntimeConfig(cache_dir=str(tmp_path))
+    spec = specs[defense]
+    targets = (tiny_test_dataset, tiny_test_dataset) if defense == "bprom" else ()
+    first = DetectorRegistry(runtime=runtime)
+    fitted = first.get_or_fit(spec, tiny_dataset, *targets)
+    # rewrite the saved detector's own format version (not the store
+    # manifest's) to the one before it, as an older release would have left it
+    directory = first.store.directory_for(DETECTOR_KIND, fitted.key)
+    rewritten = 0
+    for path in directory.glob("*.json"):
+        document = json.loads(path.read_text())
+        if path.name != "artifact.json" and "format_version" in document:
+            document["format_version"] -= 1
+            path.write_text(json.dumps(document))
+            rewritten += 1
+    assert rewritten == 1
+
+    stale = DetectorRegistry(runtime=runtime)
+    with pytest.warns(UserWarning, match="discarding"):
+        entry = stale.get_or_fit(spec, tiny_dataset, *targets)
+    assert entry.source == "fit"
+    assert stale.fits == 1 and stale.store_hits == 0
+    # the refit replaced the stale artifact: the next process is served it
+    warm = DetectorRegistry(runtime=runtime)
+    assert warm.get_or_fit(spec, tiny_dataset, *targets).source == "store"
+    assert warm.fits == 0
+
+
 # ---------------------------------------------------------------------------
 # registry: LRU byte budget
 # ---------------------------------------------------------------------------
@@ -305,7 +338,6 @@ def test_fit_path_gc_keeps_store_under_budget(micro_profile, tiny_dataset, tmp_p
     """With ``detector_gc_bytes`` set, every fit runs an opportunistic GC pass
     that evicts idle detectors — but never the artifact the fit just wrote
     (its per-key advisory lock is still held during the pass)."""
-    from repro.runtime.registry import DETECTOR_KIND
 
     runtime = RuntimeConfig(cache_dir=str(tmp_path), detector_gc_bytes=1)
     registry = DetectorRegistry(runtime=runtime)
